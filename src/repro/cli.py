@@ -1066,9 +1066,7 @@ def _cmd_report(args, out) -> int:
     if args.timings:
         if metrics_sink:
             print(metrics_sink[0].render(), file=out)
-            report = metrics_sink[0].run_report
-            if report is not None:
-                print(report.render(), file=out)
+            print(metrics_sink[0].run_report.render(), file=out)
         else:
             print("no executor timings recorded", file=out)
     failed = [m.name for m in metrics_sink[0].steps if m.outcome == "failed"] if metrics_sink else []

@@ -50,9 +50,6 @@ class StepMetric:
         True when the value was served from the artifact cache.
     wall_seconds:
         Wall time spent obtaining the value (cache hit or compute).
-    started_at / finished_at:
-        Offsets in seconds from the start of the run, for building a
-        utilization timeline.
     outcome:
         One of :data:`OUTCOMES`.
     attempts:
@@ -78,8 +75,6 @@ class StepMetric:
     key: str
     cached: bool
     wall_seconds: float
-    started_at: float
-    finished_at: float
     outcome: str = "ok"
     attempts: int = 1
     error: str = ""
@@ -108,11 +103,12 @@ class StepOutcome:
 class RunReport:
     """Structured per-step outcome record of one pipeline run.
 
-    Built by :meth:`repro.core.Pipeline.run` regardless of ``on_error``
-    mode and exposed as ``Pipeline.last_report`` (and through
-    ``ExecutorMetrics.run_report`` for ``repro report --timings``). With
-    ``on_error="raise"`` a failing run still reports every outcome known
-    at the moment the failure propagated.
+    A projection of :attr:`ExecutorMetrics.steps` (see
+    :attr:`ExecutorMetrics.run_report`), so the report and the timing
+    record of a run cannot disagree. :meth:`repro.core.Pipeline.run`
+    exposes it as ``Pipeline.last_report`` regardless of ``on_error``
+    mode; with ``on_error="raise"`` a failing run still reports every
+    outcome settled by the time the failure propagated.
 
     ``resumed_from`` carries the prior run's id when this run was started
     with ``Pipeline.run(resume=...)``.
@@ -213,7 +209,6 @@ class ExecutorMetrics:
     max_workers: int
     steps: list[StepMetric] = field(default_factory=list)
     wall_seconds: float = 0.0
-    run_report: RunReport | None = None
     resumed_from: str | None = None
     journal_path: str | None = None
     journal_unavailable: bool = False
@@ -228,8 +223,6 @@ class ExecutorMetrics:
         key: str,
         cached: bool,
         wall_seconds: float,
-        started_at: float = 0.0,
-        finished_at: float = 0.0,
         outcome: str = "ok",
         attempts: int = 1,
         error: str = "",
@@ -239,10 +232,24 @@ class ExecutorMetrics:
     ) -> None:
         self.steps.append(
             StepMetric(
-                name, key, cached, wall_seconds, started_at, finished_at,
-                outcome, attempts, error, cache_unavailable,
-                queue_seconds, compute_seconds,
+                name, key, cached, wall_seconds, outcome, attempts, error,
+                cache_unavailable, queue_seconds, compute_seconds,
             )
+        )
+
+    @property
+    def run_report(self) -> RunReport:
+        """The run's :class:`RunReport`: one outcome per step, in
+        :attr:`steps` order (pipeline order after ``Pipeline.run``)."""
+        return RunReport(
+            outcomes=tuple(
+                StepOutcome(
+                    s.name, s.outcome, s.attempts, s.error, s.wall_seconds,
+                    s.cache_unavailable,
+                )
+                for s in self.steps
+            ),
+            resumed_from=self.resumed_from,
         )
 
     @property

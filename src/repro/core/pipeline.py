@@ -42,6 +42,16 @@ across process boundaries, and cache/journal writes degrade gracefully on
 ``ENOSPC``/``OSError``: the run continues uncached with a
 ``cache_unavailable`` flag instead of crashing. Journal and locking
 configuration stay outside cache keys, like retry/timeout.
+
+Every executor — ``sequential`` (inline in the caller's thread),
+``thread`` and ``process`` (the DAG on a pool) and ``dist`` (the fleet in
+:mod:`repro.dist.coordinator`) — writes a step's outcome through one
+function, ``_Run.settle``: one :class:`~repro.core.metrics.StepMetric`
+(``last_report`` is a projection of those), one ``step`` span, one
+journal ``step_done`` record. A run's report, trace and journal therefore
+cannot disagree. A step behind a failed or skipped dependency is settled
+``skipped_upstream`` once its last dependency resolves, and its reason
+names every unavailable dependency, so it never depends on timing.
 """
 
 from __future__ import annotations
@@ -67,8 +77,9 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro.core import shm
 from repro.core.logging import get_logger, kv, set_run_id
-from repro.core.metrics import ExecutorMetrics, RunReport, StepOutcome
+from repro.core.metrics import ExecutorMetrics, RunReport
 from repro.core.trace import Tracer, activate as _activate_trace, instant as _trace_instant
+from repro.core.trace import resource_probe
 from repro.io.locks import FileLock
 
 _log = get_logger(__name__)
@@ -78,14 +89,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "ArtifactCache",
-    "BackendContext",
-    "ExecutorBackend",
     "PipelineStep",
     "Pipeline",
     "PipelineError",
     "RetryPolicy",
     "StepTimeout",
-    "register_backend",
 ]
 
 _EXECUTORS = ("auto", "sequential", "thread", "process", "dist")
@@ -102,117 +110,6 @@ class StepTimeout(PipelineError):
     Subclasses :class:`PipelineError` (and therefore ``Exception``), so the
     default retry filter treats timeouts as retryable.
     """
-
-
-# -- executor backends ---------------------------------------------------------
-
-
-@dataclass
-class BackendContext:
-    """Everything :meth:`Pipeline.run` hands an :class:`ExecutorBackend`.
-
-    One bundle instead of a dozen positional arguments, so third-party
-    backends (and :mod:`repro.dist`) survive signature growth. The
-    backend's contract: execute the DAG, populate ``outcomes`` /
-    ``metrics`` / ``journal`` / ``tracer`` exactly the way the built-in
-    executors do, and return ``{step name: value}`` for every step that
-    produced one. ``run()`` owns the run-level envelope — ``run_start`` /
-    ``run_end``, the :class:`~repro.core.metrics.RunReport`, root span —
-    for every backend equally.
-    """
-
-    keys: Mapping[str, str]
-    force: bool
-    metrics: ExecutorMetrics
-    mode: str
-    workers: int
-    t0: float
-    on_error: str
-    fault_plan: Any | None
-    outcomes: dict[str, StepOutcome]
-    journal: "RunJournal | None"
-    resume: "ResumeState | None"
-    tracer: Tracer | None
-    options: Mapping[str, Any] | None = None
-    #: ``max_workers`` exactly as the caller passed it (None = unspecified),
-    #: so backends with their own sizing defaults can tell "defaulted" from
-    #: "explicitly requested".
-    requested_workers: int | None = None
-
-
-class ExecutorBackend:
-    """Strategy interface behind ``Pipeline.run(executor=...)``.
-
-    Built-in backends cover ``sequential``, ``thread``, ``process``, and
-    ``dist``; :func:`register_backend` adds new names. Backends are
-    stateless singletons — per-run state rides in the
-    :class:`BackendContext`.
-    """
-
-    name: str = "?"
-
-    def execute(self, pipeline: "Pipeline", ctx: BackendContext) -> dict[str, Any]:
-        raise NotImplementedError
-
-
-class _SequentialBackend(ExecutorBackend):
-    name = "sequential"
-
-    def execute(self, pipeline: "Pipeline", ctx: BackendContext) -> dict[str, Any]:
-        return pipeline._run_sequential(
-            ctx.keys, ctx.force, ctx.metrics, ctx.t0, ctx.on_error,
-            ctx.fault_plan, ctx.outcomes, ctx.journal, ctx.resume, ctx.tracer,
-        )
-
-
-class _PoolBackend(ExecutorBackend):
-    """Thread- and process-pool DAG execution (one class, two names)."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-
-    def execute(self, pipeline: "Pipeline", ctx: BackendContext) -> dict[str, Any]:
-        return pipeline._run_dag(
-            ctx.keys, ctx.force, ctx.metrics, self.name, ctx.workers, ctx.t0,
-            ctx.on_error, ctx.fault_plan, ctx.outcomes, ctx.journal,
-            ctx.resume, ctx.tracer,
-        )
-
-
-class _DistBackend(ExecutorBackend):
-    """Coordinator/worker fleet (:mod:`repro.dist`); imported lazily so the
-    core pipeline stays importable without the dist package loaded."""
-
-    name = "dist"
-
-    def execute(self, pipeline: "Pipeline", ctx: BackendContext) -> dict[str, Any]:
-        from repro.dist.coordinator import run_coordinator
-
-        return run_coordinator(pipeline, ctx)
-
-
-_BACKENDS: dict[str, ExecutorBackend] = {
-    "sequential": _SequentialBackend(),
-    "thread": _PoolBackend("thread"),
-    "process": _PoolBackend("process"),
-    "dist": _DistBackend(),
-}
-
-
-def register_backend(name: str, backend: ExecutorBackend) -> None:
-    """Register (or replace) an executor backend under ``name``.
-
-    The name becomes a valid ``Pipeline.run(executor=...)`` value. Names
-    shadowing built-ins are allowed — that is the seam the test suite and
-    future remote backends use — but ``"auto"`` stays reserved for the
-    picklability-based choice between thread and process pools.
-    """
-    if name == "auto":
-        raise ValueError("'auto' is resolved by Pipeline.run, not a backend name")
-    _BACKENDS[name] = backend
-    global _EXECUTORS
-    if name not in _EXECUTORS:
-        _EXECUTORS = _EXECUTORS + (name,)
 
 
 @dataclass(frozen=True)
@@ -722,30 +619,27 @@ class PipelineStep:
     timeout: float | None = None
 
 
-def _call_step(fn: Callable[..., Any], inputs: dict[str, Any], params: dict[str, Any]) -> Any:
-    # Module-level so process-pool workers can unpickle the invocation.
-    return fn(inputs, **params)
-
-
-def _call_step_traced(
+def _call_step(
     fn: Callable[..., Any],
     inputs: dict[str, Any],
     params: dict[str, Any],
-    resources: bool,
+    shm_prefix: str | None = None,
+    resources: bool = False,
 ) -> tuple[Any, dict[str, Any]]:
-    """Worker-side body of a traced process-mode compute.
+    """Run one attempt of a step function: the body every executor shares.
 
-    A process worker cannot reach the coordinator's tracer, so it measures
-    itself — wall, CPU, peak RSS — and ships the measurement back through
-    the pool's *existing result channel* (the return value), which the
-    coordination thread folds into the attempt span. No shared trace file,
-    no extra IPC.
+    Returns ``(value, measurement)``. Module-level so a process-pool
+    worker can unpickle the invocation. A process worker cannot reach the
+    coordinator's tracer, so it measures itself (pid, compute seconds,
+    and CPU/peak RSS when ``resources``) and ships the measurement back
+    through the pool's existing result channel. With ``shm_prefix`` the
+    value is pickled once into a transport envelope whose large
+    numpy-backed payloads travel through a shared-memory segment named
+    under that prefix (see :mod:`repro.core.shm`).
     """
-    from repro.core.trace import resource_probe
-
     probe0 = resource_probe() if resources else None
     t0 = time.perf_counter()
-    value = _call_step(fn, inputs, params)
+    value = fn(inputs, **params)
     payload: dict[str, Any] = {
         "worker_pid": os.getpid(),
         "compute": time.perf_counter() - t0,
@@ -755,45 +649,14 @@ def _call_step_traced(
         if probe1 is not None:
             payload["cpu"] = round(probe1[0] - probe0[0], 6)
             payload["rss_kb"] = probe1[1]
+    if shm_prefix is not None:
+        value = shm.encode_result(value, shm_prefix)
     return value, payload
-
-
-def _call_step_shm(
-    fn: Callable[..., Any],
-    inputs: dict[str, Any],
-    params: dict[str, Any],
-    shm_prefix: str,
-) -> tuple[str, Any]:
-    """Process-pool worker body with zero-copy result transport.
-
-    The step value is pickled once (protocol 5, out-of-band buffers) and
-    returned as a transport envelope: large numpy-backed payloads go
-    through a shared-memory segment named under ``shm_prefix``, small or
-    buffer-free payloads ride inline. See :mod:`repro.core.shm` for the
-    handle protocol and ownership rules.
-    """
-    from repro.core import shm
-
-    return shm.encode_result(_call_step(fn, inputs, params), shm_prefix)
-
-
-def _call_step_traced_shm(
-    fn: Callable[..., Any],
-    inputs: dict[str, Any],
-    params: dict[str, Any],
-    resources: bool,
-    shm_prefix: str,
-) -> tuple[tuple[str, Any], dict[str, Any]]:
-    """:func:`_call_step_traced` with the value in a transport envelope."""
-    from repro.core import shm
-
-    value, payload = _call_step_traced(fn, inputs, params, resources)
-    return shm.encode_result(value, shm_prefix), payload
 
 
 def _killable_target(conn, fn, inputs, params) -> None:  # pragma: no cover - child process
     try:
-        value = _call_step(fn, inputs, params)
+        value, _ = _call_step(fn, inputs, params)
     except BaseException as exc:
         try:
             conn.send(("error", exc))
@@ -849,6 +712,230 @@ def _run_killable(step: "PipelineStep", inputs: dict[str, Any], timeout: float) 
     return payload
 
 
+class _ProcessPool:
+    """Process-mode worker pool plus the run's shared-memory namespace.
+
+    Each attempt is one submit of :func:`_call_step`; its value returns
+    as a transport envelope named under this pool's prefix. Zero-copy
+    transport is a process-mode concern only: sequential and thread
+    executors pass values in-process and never touch :mod:`repro.core.shm`.
+    """
+
+    def __init__(self, workers: int) -> None:
+        self.executor = ProcessPoolExecutor(max_workers=workers)
+        self.shm_prefix = shm.run_prefix()
+
+    def call(
+        self, step: PipelineStep, inputs: dict[str, Any], resources: bool
+    ) -> tuple[Any, dict[str, Any]]:
+        envelope, payload = self.executor.submit(
+            _call_step, step.fn, inputs, dict(step.params), self.shm_prefix, resources
+        ).result()
+        return shm.decode_result(envelope), payload
+
+    def close(self) -> None:
+        self.executor.shutdown(wait=True, cancel_futures=True)
+        # Any segment still alive under this prefix was orphaned by a
+        # killed/crashed worker whose handle never reached decode_result.
+        leaked = shm.sweep(self.shm_prefix)
+        if leaked:
+            _log.warning(
+                "swept %d leaked shm segment(s) %s",
+                len(leaked), kv(prefix=self.shm_prefix),
+            )
+
+
+def _attempt_loop(
+    step: PipelineStep,
+    inputs: dict[str, Any],
+    policy: RetryPolicy,
+    timeout: float | None,
+    counter: dict[str, Any],
+    *,
+    pool: _ProcessPool | None = None,
+    fault_plan: Any | None = None,
+    tracer: Tracer | None = None,
+    step_sid: int | None = None,
+) -> Any:
+    """One compute of ``step``: bounded attempts with backoff + deadline.
+
+    ``counter["attempts"]`` holds the attempt in progress, so a caller can
+    report it after a terminal failure; ``counter["pool_wait"]``
+    accumulates process-pool queueing. The pipeline runs this in the
+    coordinating process, inside the cache's single-flight lock, so
+    retries of one step never duplicate work across concurrent runs. A
+    dist worker runs it with no pool, fault plan or tracer; without a
+    pool every timeout is cooperative.
+    """
+    attempt = 0
+    while True:
+        attempt += 1
+        counter["attempts"] = attempt
+        attempt_start = time.perf_counter()
+        deadline = attempt_start + timeout if timeout is not None else None
+        attempt_sid = (
+            tracer.begin(
+                f"attempt:{step.name}", "attempt", parent=step_sid,
+                step=step.name, attempt=attempt,
+            )
+            if tracer is not None
+            else None
+        )
+        try:
+            if fault_plan is not None:
+                fault_plan.fire(
+                    step.name,
+                    attempt,
+                    remaining=None if deadline is None else deadline - time.perf_counter(),
+                )
+            if deadline is not None and time.perf_counter() > deadline:
+                # An injected hang (or pool queueing) consumed the whole
+                # budget before the compute even started.
+                raise StepTimeout(
+                    f"step {step.name!r} exceeded timeout {timeout:.3f}s "
+                    "(cooperative deadline, pre-compute)"
+                )
+            payload: dict[str, Any] | None = None
+            if pool is None:
+                value, _ = _call_step(step.fn, inputs, dict(step.params))
+            elif deadline is not None:
+                # Hard timeout: dedicated killable worker (see _run_killable).
+                # Its dedicated Pipe is torn down with the process, so the
+                # result stays inline — shm ownership could not be handed
+                # off safely across a terminate().
+                value = _run_killable(step, inputs, deadline - time.perf_counter())
+            else:
+                value, payload = pool.call(
+                    step, inputs, tracer is not None and tracer.resources
+                )
+                # The worker measured its own compute, so anything beyond
+                # it inside this attempt was pool queueing.
+                counter["pool_wait"] = counter.get("pool_wait", 0.0) + max(
+                    0.0, (time.perf_counter() - attempt_start) - payload["compute"]
+                )
+            if value is None:
+                raise PipelineError(f"step {step.name!r} returned None")
+            if deadline is not None and time.perf_counter() > deadline:
+                raise StepTimeout(
+                    f"step {step.name!r} exceeded timeout {timeout:.3f}s "
+                    "(cooperative deadline)"
+                )
+            if attempt_sid is not None:
+                tracer.end(attempt_sid, ok=True, **(payload or {}))
+            return value
+        except Exception as exc:
+            if attempt_sid is not None:
+                tracer.end(attempt_sid, ok=False, error=type(exc).__name__)
+            if attempt >= policy.max_attempts or not policy.retries(exc):
+                raise
+            delay = policy.delay(step.name, attempt)
+            if tracer is not None:
+                tracer.instant(
+                    "retry.backoff", "retry",
+                    step=step.name, attempt=attempt, delay=round(delay, 6),
+                )
+            time.sleep(delay)
+
+
+@dataclass
+class _Run:
+    """The state of one :meth:`Pipeline.run` call, shared by every executor.
+
+    :meth:`settle` is the only writer of a step's outcome: one
+    :class:`~repro.core.metrics.StepMetric` (``last_report`` is projected
+    from those), one ``step`` span, one journal ``step_done`` record. The
+    sequential, pool and dist executors call it for every outcome, so a
+    run's report, trace and journal cannot disagree about a step.
+    """
+
+    pipeline: "Pipeline"
+    keys: dict[str, str]
+    metrics: ExecutorMetrics
+    force: bool
+    on_error: str
+    fault_plan: Any | None
+    journal: "RunJournal | None"
+    resume: "ResumeState | None"
+    tracer: Tracer | None
+    t0: float = field(default_factory=time.perf_counter)
+    pool: _ProcessPool | None = None
+    steps: dict[str, PipelineStep] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.steps = {s.name: s for s in self.pipeline.steps}
+
+    def settle(
+        self,
+        name: str,
+        outcome: str,
+        attempts: int = 0,
+        *,
+        wall: float = 0.0,
+        queue: float = 0.0,
+        compute: float | None = None,
+        error: str = "",
+        cache_unavailable: bool = False,
+        sid: int | None = None,
+        start: float | None = None,
+        tid: str | None = None,
+    ) -> None:
+        """Write step ``name``'s outcome to the metrics, trace and journal.
+
+        ``sid`` ends the ``step`` span the executor opened; without one
+        the span is added, on lane ``tid``, from ``start`` (default: now,
+        zero length) to now. A failure span carries only the error's
+        class — ``error`` up to its first ``(`` — so it exports
+        identically from every executor.
+        """
+        key = self.keys[name]
+        failed = outcome in ("failed", "timeout")
+        if failed:
+            _log.warning(kv("step.failed", step=name, status=outcome, attempts=attempts))
+        self.metrics.record(
+            name, key, outcome == "cached", wall, outcome=outcome,
+            attempts=attempts, error=error, cache_unavailable=cache_unavailable,
+            queue_seconds=queue, compute_seconds=compute,
+        )
+        tracer = self.tracer
+        if tracer is not None:
+            args: dict[str, Any] = {"outcome": outcome, "attempts": attempts}
+            if failed:
+                args["error"] = error.split("(")[0]
+            args["queue_wait"] = round(queue, 6)
+            if compute is not None:
+                args["compute"] = round(compute, 6)
+            args["wall"] = round(wall, 6)
+            if sid is not None:
+                tracer.end(sid, **args)
+            else:
+                now = tracer.now()
+                tracer.add_span(
+                    f"step:{name}", "step", now if start is None else start, now,
+                    tid=tid, step=name, key=key,
+                    deps=list(self.steps[name].depends_on), **args,
+                )
+        if self.journal is not None:
+            self.journal.step_done(
+                name, key, outcome, attempts,
+                cache_unavailable=cache_unavailable, error=error,
+            )
+
+    def skip_if_upstream_failed(self, step: PipelineStep, unavailable: set[str]) -> bool:
+        """Settle ``step`` as ``skipped_upstream`` when any dependency is in
+        ``unavailable`` (failed or skipped); True when it did.
+
+        Executors call this once the step's last dependency has resolved,
+        so the reason names every unavailable dependency, in sorted order,
+        whichever failed first.
+        """
+        bad = sorted(d for d in step.depends_on if d in unavailable)
+        if not bad:
+            return False
+        unavailable.add(step.name)
+        self.settle(step.name, "skipped_upstream", error=f"upstream failed: {bad}")
+        return True
+
+
 class Pipeline:
     """A dependency DAG of steps with cache-aware (parallel) execution.
 
@@ -897,10 +984,6 @@ class Pipeline:
         self.last_metrics: ExecutorMetrics | None = None
         self.last_report: RunReport | None = None
         self.last_trace: Tracer | None = None
-        # Per-run shared-memory namespace for process-mode result transport;
-        # set by _run_dag while a process pool is live, swept and cleared in
-        # its finally (see repro.core.shm).
-        self._shm_prefix: str | None = None
 
     def _policy_for(self, step: PipelineStep) -> RetryPolicy:
         if step.retry is not None:
@@ -938,20 +1021,20 @@ class Pipeline:
         return True
 
     def _resolve_executor(self, executor: str, max_workers: int | None) -> tuple[str, int]:
-        if executor != "auto" and executor not in _BACKENDS:
+        if executor not in _EXECUTORS:
             raise PipelineError(
                 f"unknown executor {executor!r}; expected one of {_EXECUTORS}"
             )
         workers = max_workers if max_workers is not None else (os.cpu_count() or 1)
         if workers < 1:
             raise PipelineError(f"max_workers must be >= 1, got {max_workers}")
-        if executor not in ("auto", "sequential", "thread", "process"):
-            # Registered backends (dist included) own their worker model —
-            # a one-step DAG on a one-worker fleet is still a fleet run,
-            # never silently collapsed to the in-process fast path. An
-            # unspecified max_workers defaults to a small fleet rather than
-            # cpu_count: fleet workers are whole processes with their own
-            # polling loops, not pool threads.
+        if executor == "dist":
+            # The fleet owns its worker model — a one-step DAG on a
+            # one-worker fleet is still a fleet run, never silently
+            # collapsed to the in-process fast path. An unspecified
+            # max_workers defaults to a small fleet rather than cpu_count:
+            # fleet workers are whole processes with their own polling
+            # loops, not pool threads.
             if max_workers is None:
                 workers = min(4, os.cpu_count() or 1)
             return executor, workers
@@ -984,14 +1067,13 @@ class Pipeline:
             Bypass cache reads (values are still written back).
         max_workers:
             Pool size; defaults to ``os.cpu_count()``. ``1`` forces the
-            sequential fast path (except for registered backends such as
-            ``dist``, which own their worker model).
+            sequential fast path (except for ``dist``, which owns its
+            worker model).
         executor:
             ``"auto"`` (processes when every step pickles, else threads),
-            ``"sequential"``, ``"thread"``, ``"process"``, ``"dist"``
+            ``"sequential"``, ``"thread"``, ``"process"``, or ``"dist"``
             (coordinator/worker fleet over the shared cache directory —
-            see :mod:`repro.dist`), or any name added via
-            :func:`register_backend`.
+            see :mod:`repro.dist`).
         on_error:
             ``"raise"`` (default) propagates the first terminal step
             failure, as before. ``"keep_going"`` isolates it: the failed
@@ -1029,8 +1111,7 @@ class Pipeline:
             tracer lands on :attr:`last_trace`. Like retry/timeout and
             journal config, tracing never touches cache keys.
         backend_options:
-            Backend-specific knobs, passed through untouched on the
-            :class:`BackendContext`. The ``dist`` backend accepts either
+            Knobs for the ``dist`` executor (ignored by the others): either
             ``{"config": DistConfig(...)}`` or loose
             :class:`~repro.dist.worker.DistConfig` field names. Never part
             of cache keys.
@@ -1089,27 +1170,27 @@ class Pipeline:
             set_run_id(run_id)
             if _log.isEnabledFor(20):  # INFO
                 _log.info(kv("run.start", executor=mode, workers=workers))
-        outcomes: dict[str, StepOutcome] = {}
-        t0 = time.perf_counter()
+        run = _Run(
+            pipeline=self, keys=keys, metrics=metrics, force=force, on_error=on_error,
+            fault_plan=fault_plan, journal=journal, resume=resume, tracer=tracer,
+        )
         try:
             with _activate_trace(tracer):
-                ctx = BackendContext(
-                    keys=keys, force=force, metrics=metrics, mode=mode,
-                    workers=workers, t0=t0, on_error=on_error,
-                    fault_plan=fault_plan, outcomes=outcomes, journal=journal,
-                    resume=resume, tracer=tracer, options=backend_options,
-                    requested_workers=max_workers,
-                )
-                results = _BACKENDS[mode].execute(self, ctx)
+                if mode == "sequential":
+                    results = self._run_sequential(run)
+                elif mode == "dist":
+                    # Imported lazily so the core pipeline stays importable
+                    # without the dist package loaded.
+                    from repro.dist.coordinator import run_coordinator
+
+                    results = run_coordinator(run, backend_options, max_workers)
+                else:
+                    results = self._run_dag(run, mode, workers)
         finally:
-            metrics.wall_seconds = time.perf_counter() - t0
-            report = RunReport(
-                outcomes=tuple(
-                    outcomes[s.name] for s in self.steps if s.name in outcomes
-                ),
-                resumed_from=None if resume is None else resume.run_id,
-            )
-            metrics.run_report = report
+            metrics.wall_seconds = time.perf_counter() - run.t0
+            position = {name: i for i, name in enumerate(keys)}
+            metrics.steps.sort(key=lambda m: position[m.name])
+            report = metrics.run_report
             if journal is not None:
                 journal.run_end(report.counts(), metrics.wall_seconds)
                 metrics.journal_unavailable = journal.unavailable
@@ -1136,154 +1217,19 @@ class Pipeline:
         assert self.last_report is not None
         return results, self.last_report
 
-    def _execute(
-        self,
-        step: PipelineStep,
-        inputs: dict[str, Any],
-        pool: ProcessPoolExecutor | None,
-        remaining: float | None,
-        tracer: Tracer | None = None,
-    ) -> tuple[Any, dict[str, Any] | None]:
-        """Run one attempt; returns ``(value, worker_payload)``.
-
-        ``worker_payload`` is the self-measurement a traced process-pool
-        worker ships back through the result channel (None in thread/
-        sequential mode, where the coordinating thread measures directly,
-        and on the killable-timeout path).
-        """
-        payload: dict[str, Any] | None = None
-        if pool is not None:
-            shm_prefix = self._shm_prefix
-            if remaining is not None:
-                # Hard timeout: dedicated killable worker (see _run_killable).
-                # Its dedicated Pipe is torn down with the process, so the
-                # result stays inline — shm ownership could not be handed
-                # off safely across a terminate().
-                value = _run_killable(step, inputs, remaining)
-            elif tracer is not None:
-                if shm_prefix is not None:
-                    envelope, payload = pool.submit(
-                        _call_step_traced_shm, step.fn, inputs, dict(step.params),
-                        tracer.resources, shm_prefix,
-                    ).result()
-                    value = shm.decode_result(envelope)
-                else:
-                    value, payload = pool.submit(
-                        _call_step_traced, step.fn, inputs, dict(step.params),
-                        tracer.resources,
-                    ).result()
-            elif shm_prefix is not None:
-                envelope = pool.submit(
-                    _call_step_shm, step.fn, inputs, dict(step.params), shm_prefix
-                ).result()
-                value = shm.decode_result(envelope)
-            else:
-                value = pool.submit(_call_step, step.fn, inputs, dict(step.params)).result()
-        else:
-            value = _call_step(step.fn, inputs, dict(step.params))
-        if value is None:
-            raise PipelineError(f"step {step.name!r} returned None")
-        return value, payload
-
-    def _attempt_loop(
-        self,
-        step: PipelineStep,
-        inputs: dict[str, Any],
-        pool: ProcessPoolExecutor | None,
-        fault_plan: Any | None,
-        counter: dict[str, int],
-        tracer: Tracer | None = None,
-        step_sid: int | None = None,
-    ) -> Any:
-        """One cache-miss compute: bounded attempts with backoff + deadline.
-
-        Runs in the coordinating process (sequential caller or a
-        coordination thread), inside the cache's single-flight lock, so
-        retries of one step never duplicate work across concurrent runs.
-        """
-        policy = self._policy_for(step)
-        timeout = self._timeout_for(step)
-        attempt = 0
-        while True:
-            attempt += 1
-            counter["attempts"] = attempt
-            attempt_start = time.perf_counter()
-            deadline = attempt_start + timeout if timeout is not None else None
-            attempt_sid = (
-                tracer.begin(
-                    f"attempt:{step.name}", "attempt", parent=step_sid,
-                    step=step.name, attempt=attempt,
-                )
-                if tracer is not None
-                else None
-            )
-            try:
-                if fault_plan is not None:
-                    fault_plan.fire(
-                        step.name,
-                        attempt,
-                        remaining=None if deadline is None else deadline - time.perf_counter(),
-                    )
-                if deadline is not None and time.perf_counter() > deadline:
-                    # An injected hang (or pool queueing) consumed the whole
-                    # budget before the compute even started.
-                    raise StepTimeout(
-                        f"step {step.name!r} exceeded timeout {timeout:.3f}s "
-                        "(cooperative deadline, pre-compute)"
-                    )
-                value, payload = self._execute(
-                    step,
-                    inputs,
-                    pool,
-                    None if deadline is None else deadline - time.perf_counter(),
-                    tracer,
-                )
-                if payload is not None:
-                    # Traced process-pool attempt: the worker measured its
-                    # own compute, so anything beyond it inside this
-                    # attempt was pool queueing.
-                    counter["pool_wait"] = counter.get("pool_wait", 0.0) + max(
-                        0.0,
-                        (time.perf_counter() - attempt_start) - payload["compute"],
-                    )
-                if deadline is not None and time.perf_counter() > deadline:
-                    raise StepTimeout(
-                        f"step {step.name!r} exceeded timeout {timeout:.3f}s "
-                        "(cooperative deadline)"
-                    )
-                if attempt_sid is not None:
-                    tracer.end(attempt_sid, ok=True, **(payload or {}))
-                return value
-            except Exception as exc:
-                if attempt_sid is not None:
-                    tracer.end(attempt_sid, ok=False, error=type(exc).__name__)
-                if attempt >= policy.max_attempts or not policy.retries(exc):
-                    raise
-                delay = policy.delay(step.name, attempt)
-                if tracer is not None:
-                    tracer.instant(
-                        "retry.backoff", "retry",
-                        step=step.name, attempt=attempt, delay=round(delay, 6),
-                    )
-                time.sleep(delay)
-
     def _obtain(
         self,
+        run: _Run,
         step: PipelineStep,
         inputs: dict[str, Any],
-        keys: Mapping[str, str],
-        force: bool,
-        pool: ProcessPoolExecutor | None,
-        fault_plan: Any | None,
         counter: dict[str, Any],
-        resume: "ResumeState | None" = None,
-        tracer: Tracer | None = None,
-        step_sid: int | None = None,
+        step_sid: int | None,
     ) -> tuple[Any, str]:
-        """Produce ``step``'s value; returns ``(value, how)`` with ``how``
-        one of ``"computed"``, ``"cached"``, ``"replayed"``."""
-        key = keys[step.name]
-        if resume is not None and not force and resume.completed.get(step.name) == key:
+        """Produce ``step``'s value; returns ``(value, outcome)`` with
+        ``outcome`` one of ``replayed``, ``cached``, ``ok``, ``retried``."""
+        key = run.keys[step.name]
+        resume = run.resume
+        if resume is not None and not run.force and resume.completed.get(step.name) == key:
             # The interrupted run journaled this exact artifact as done.
             # Serve it straight from the cache without attempting compute;
             # a vanished/corrupt artifact simply falls through to the
@@ -1292,19 +1238,20 @@ class Pipeline:
             if value is not None:
                 self.cache.hits += 1
                 return value, "replayed"
-        armed = False
-        if fault_plan is not None:
-            armed = fault_plan.arm_enospc(
-                self.cache, step.name, key,
-                will_compute=force or self.cache.peek(key) is None,
-            )
+        fault_plan = run.fault_plan
+        armed = fault_plan is not None and fault_plan.arm_enospc(
+            self.cache, step.name, key,
+            will_compute=run.force or self.cache.peek(key) is None,
+        )
         info: dict[str, Any] = {}
         value, cached = self.cache.get_or_compute(
             key,
-            lambda: self._attempt_loop(
-                step, inputs, pool, fault_plan, counter, tracer, step_sid
+            lambda: _attempt_loop(
+                step, inputs, self._policy_for(step), self._timeout_for(step),
+                counter, pool=run.pool, fault_plan=fault_plan, tracer=run.tracer,
+                step_sid=step_sid,
             ),
-            force=force,
+            force=run.force,
             info=info,
         )
         if armed and not info.get("computed"):
@@ -1318,99 +1265,52 @@ class Pipeline:
         counter["cache_unavailable"] = bool(info.get("computed")) and not info.get(
             "stored", True
         )
-        return value, ("cached" if cached else "computed")
+        if cached:
+            return value, "cached"
+        return value, ("retried" if counter["attempts"] > 1 else "ok")
 
-    @staticmethod
-    def _classify(how: str, attempts: int) -> str:
-        if how == "cached":
-            return "cached"
-        if how == "replayed":
-            return "replayed"
-        return "retried" if attempts > 1 else "ok"
+    def _run_step(
+        self, run: _Run, step: PipelineStep, inputs: dict[str, Any], ready: float
+    ) -> Any:
+        """Obtain one step's value and settle its outcome.
 
-    def _record_failure(
-        self,
-        step: PipelineStep,
-        keys: Mapping[str, str],
-        exc: BaseException,
-        attempts: int,
-        wall: float,
-        started_at: float,
-        finished_at: float,
-        metrics: ExecutorMetrics,
-        outcomes: dict[str, StepOutcome],
-        journal: "RunJournal | None" = None,
-        tracer: Tracer | None = None,
-        step_sid: int | None = None,
-        queue_seconds: float = 0.0,
-    ) -> None:
-        status = "timeout" if isinstance(exc, StepTimeout) else "failed"
-        error = repr(exc)
-        _log.warning(kv("step.failed", step=step.name, status=status, attempts=attempts))
-        outcomes[step.name] = StepOutcome(step.name, status, attempts, error, wall)
-        metrics.record(
-            step.name, keys[step.name], False, wall, started_at, finished_at,
-            outcome=status, attempts=attempts, error=error,
-            queue_seconds=queue_seconds,
+        Runs inline (sequential) or on a coordination thread (pools). A
+        terminal failure is settled, then re-raised. ``ready`` is when the
+        step's last dependency resolved: the gap to its start, plus any
+        process-pool queueing, is its queue wait.
+        """
+        if run.journal is not None:
+            run.journal.step_start(step.name, run.keys[step.name])
+        started = time.perf_counter()
+        sid = (
+            run.tracer.begin(
+                f"step:{step.name}", "step",
+                step=step.name, key=run.keys[step.name], deps=list(step.depends_on),
+            )
+            if run.tracer is not None
+            else None
         )
-        if tracer is not None and step_sid is not None:
-            # Error class only (not the repr): failure spans must export
-            # identically across executor modes for the determinism suite.
-            tracer.end(
-                step_sid, outcome=status, attempts=attempts,
-                error=type(exc).__name__,
-                queue_wait=round(queue_seconds, 6), wall=round(wall, 6),
-            )
-        if journal is not None:
-            journal.step_done(
-                step.name, keys[step.name], status, attempts, error=error
-            )
-
-    def _record_skip(
-        self,
-        step: PipelineStep,
-        keys: Mapping[str, str],
-        failed_deps: list[str],
-        metrics: ExecutorMetrics,
-        outcomes: dict[str, StepOutcome],
-        journal: "RunJournal | None" = None,
-        tracer: Tracer | None = None,
-    ) -> None:
-        reason = f"upstream failed: {sorted(failed_deps)}"
-        outcomes[step.name] = StepOutcome(step.name, "skipped_upstream", 0, reason, 0.0)
-        metrics.record(
-            step.name, keys[step.name], False, 0.0, 0.0, 0.0,
-            outcome="skipped_upstream", attempts=0, error=reason,
+        counter: dict[str, Any] = {"attempts": 0, "pool_wait": 0.0, "cache_unavailable": False}
+        value, failure = None, None
+        try:
+            value, outcome = self._obtain(run, step, inputs, counter, sid)
+        except Exception as exc:
+            failure = exc
+            outcome = "timeout" if isinstance(exc, StepTimeout) else "failed"
+        wall = time.perf_counter() - started
+        pool_wait = counter["pool_wait"]
+        run.settle(
+            step.name, outcome, counter["attempts"], wall=wall,
+            queue=max(0.0, started - ready) + pool_wait,
+            compute=max(0.0, wall - pool_wait) if failure is None else None,
+            error="" if failure is None else repr(failure),
+            cache_unavailable=counter["cache_unavailable"], sid=sid,
         )
-        if tracer is not None:
-            # Zero-length span, no reason text: sequential mode names every
-            # failed dep while DAG mode names the first one discovered, and
-            # the normalized export must not see that difference.
-            now = tracer.now()
-            tracer.add_span(
-                f"step:{step.name}", "step", now, now,
-                step=step.name, key=keys[step.name],
-                deps=list(step.depends_on),
-                outcome="skipped_upstream", attempts=0,
-            )
-        if journal is not None:
-            journal.step_done(
-                step.name, keys[step.name], "skipped_upstream", 0, error=reason
-            )
+        if failure is not None:
+            raise failure
+        return value
 
-    def _run_sequential(
-        self,
-        keys: Mapping[str, str],
-        force: bool,
-        metrics: ExecutorMetrics,
-        t0: float,
-        on_error: str,
-        fault_plan: Any | None,
-        outcomes: dict[str, StepOutcome],
-        journal: "RunJournal | None" = None,
-        resume: "ResumeState | None" = None,
-        tracer: Tracer | None = None,
-    ) -> dict[str, Any]:
+    def _run_sequential(self, run: _Run) -> dict[str, Any]:
         results: dict[str, Any] = {}
         unavailable: set[str] = set()  # failed or skipped steps
         # Sequential queue-wait: a step was "ready" the moment its last
@@ -1418,101 +1318,28 @@ class Pipeline:
         # earlier-but-independent steps hogging the single worker.
         finish_times: dict[str, float] = {}
         for step in self.steps:
-            bad_deps = [d for d in step.depends_on if d in unavailable]
-            if bad_deps:
-                unavailable.add(step.name)
-                self._record_skip(
-                    step, keys, bad_deps, metrics, outcomes, journal, tracer
-                )
+            if run.skip_if_upstream_failed(step, unavailable):
                 continue
+            ready = max((finish_times[d] for d in step.depends_on), default=run.t0)
             inputs = {dep: results[dep] for dep in step.depends_on}
-            counter: dict[str, Any] = {"attempts": 0}
-            if journal is not None:
-                journal.step_start(step.name, keys[step.name])
-            started = time.perf_counter()
-            ready = max(
-                (finish_times[d] for d in step.depends_on if d in finish_times),
-                default=t0,
-            )
-            queue_seconds = max(0.0, started - ready)
-            step_sid = (
-                tracer.begin(
-                    f"step:{step.name}", "step",
-                    step=step.name, key=keys[step.name],
-                    deps=list(step.depends_on),
-                )
-                if tracer is not None
-                else None
-            )
             try:
-                value, how = self._obtain(
-                    step, inputs, keys, force, None, fault_plan, counter, resume,
-                    tracer, step_sid,
-                )
-            except Exception as exc:
-                finished = time.perf_counter()
-                self._record_failure(
-                    step, keys, exc, counter["attempts"], finished - started,
-                    started - t0, finished - t0, metrics, outcomes, journal,
-                    tracer, step_sid, queue_seconds,
-                )
-                if on_error == "raise":
+                results[step.name] = self._run_step(run, step, inputs, ready)
+            except Exception:
+                if run.on_error == "raise":
                     raise
                 unavailable.add(step.name)
                 continue
-            finished = time.perf_counter()
-            finish_times[step.name] = finished
-            attempts = counter["attempts"]
-            outcome = self._classify(how, attempts)
-            cache_unavailable = bool(counter.get("cache_unavailable"))
-            wall = finished - started
-            outcomes[step.name] = StepOutcome(
-                step.name, outcome, attempts, "", wall,
-                cache_unavailable,
-            )
-            metrics.record(
-                step.name, keys[step.name], how == "cached", wall,
-                started - t0, finished - t0, outcome=outcome, attempts=attempts,
-                cache_unavailable=cache_unavailable,
-                queue_seconds=queue_seconds, compute_seconds=wall,
-            )
-            if tracer is not None and step_sid is not None:
-                tracer.end(
-                    step_sid, outcome=outcome, attempts=attempts,
-                    queue_wait=round(queue_seconds, 6),
-                    compute=round(wall, 6), wall=round(wall, 6),
-                )
-            if journal is not None:
-                journal.step_done(
-                    step.name, keys[step.name], outcome, attempts,
-                    cache_unavailable=cache_unavailable,
-                )
-            results[step.name] = value
+            finish_times[step.name] = time.perf_counter()
         return results
 
-    def _run_dag(
-        self,
-        keys: Mapping[str, str],
-        force: bool,
-        metrics: ExecutorMetrics,
-        mode: str,
-        workers: int,
-        t0: float,
-        on_error: str,
-        fault_plan: Any | None,
-        outcomes: dict[str, StepOutcome],
-        journal: "RunJournal | None" = None,
-        resume: "ResumeState | None" = None,
-        tracer: Tracer | None = None,
-    ) -> dict[str, Any]:
+    def _run_dag(self, run: _Run, mode: str, workers: int) -> dict[str, Any]:
         indegree = {s.name: len(s.depends_on) for s in self.steps}
         dependents: dict[str, list[PipelineStep]] = {s.name: [] for s in self.steps}
         for step in self.steps:
             for dep in step.depends_on:
                 dependents[dep].append(step)
-        by_name = {s.name: s for s in self.steps}
         results: dict[str, Any] = {}
-        counters: dict[str, dict[str, Any]] = {}
+        unavailable: set[str] = set()  # failed or skipped steps
 
         # Thread mode computes inside the coordination threads, so the
         # coordination pool IS the worker pool; process mode uses cheap
@@ -1522,46 +1349,7 @@ class Pipeline:
         # (keys are unique within one pipeline), so bounding the thread-mode
         # pool to ``workers`` cannot deadlock this run against itself.
         coord_size = workers if mode == "thread" else len(self.steps)
-        pool = ProcessPoolExecutor(max_workers=workers) if mode == "process" else None
-        # Zero-copy result transport is a process-mode concern only:
-        # sequential and thread executors pass values in-process and must
-        # never pay for (or depend on) a shm backend.
-        self._shm_prefix = shm.run_prefix() if pool is not None else None
-
-        def task(step: PipelineStep, inputs: dict[str, Any]) -> tuple[Any, str, float, float]:
-            if journal is not None:
-                journal.step_start(step.name, keys[step.name])
-            counter = counters[step.name]
-            started = time.perf_counter()
-            counter["started_at"] = started
-            if tracer is not None:
-                counter["step_sid"] = tracer.begin(
-                    f"step:{step.name}", "step",
-                    step=step.name, key=keys[step.name],
-                    deps=list(step.depends_on),
-                )
-            value, how = self._obtain(
-                step, inputs, keys, force, pool, fault_plan, counter,
-                resume, tracer, counter.get("step_sid"),
-            )
-            return value, how, started, time.perf_counter()
-
-        def skip_subtree(root: PipelineStep) -> None:
-            # Mark every transitive dependent of a failed step. Their
-            # indegree never reaches zero, so none is ever submitted; this
-            # pass exists purely so the report names them.
-            stack = [root]
-            while stack:
-                parent = stack.pop()
-                for dependent in dependents[parent.name]:
-                    if dependent.name in outcomes:
-                        continue
-                    self._record_skip(
-                        dependent, keys, [parent.name], metrics, outcomes, journal,
-                        tracer,
-                    )
-                    stack.append(by_name[dependent.name])
-
+        run.pool = _ProcessPool(workers) if mode == "process" else None
         try:
             with ThreadPoolExecutor(max_workers=coord_size) as coord:
                 inflight: dict[Future, PipelineStep] = {}
@@ -1570,9 +1358,25 @@ class Pipeline:
                     inputs = {dep: results[dep] for dep in step.depends_on}
                     # A step is "ready" at submit time (all deps resolved);
                     # the gap to its task starting is coordination-pool
-                    # queueing, charged to queue-wait in the trace.
-                    counters[step.name] = {"attempts": 0, "ready_at": time.perf_counter()}
-                    inflight[coord.submit(task, step, inputs)] = step
+                    # queueing, charged to queue-wait.
+                    inflight[
+                        coord.submit(self._run_step, run, step, inputs, time.perf_counter())
+                    ] = step
+
+                def resolve(name: str) -> None:
+                    # ``name`` settled. A dependent whose last dependency
+                    # this was runs now, or is settled skipped — which in
+                    # turn resolves its own dependents.
+                    settled = [name]
+                    while settled:
+                        for step in dependents[settled.pop()]:
+                            indegree[step.name] -= 1
+                            if indegree[step.name]:
+                                continue
+                            if run.skip_if_upstream_failed(step, unavailable):
+                                settled.append(step.name)
+                            else:
+                                submit(step)
 
                 for step in self.steps:
                     if indegree[step.name] == 0:
@@ -1581,80 +1385,16 @@ class Pipeline:
                     done, _ = wait(inflight, return_when=FIRST_COMPLETED)
                     for fut in done:
                         step = inflight.pop(fut)
-                        counter = counters[step.name]
                         try:
-                            value, how, started, finished = fut.result()
+                            results[step.name] = fut.result()
                         except BaseException as exc:
-                            finished = time.perf_counter()
-                            started = counter.get("started_at", finished)
-                            queue_seconds = max(
-                                0.0, started - counter.get("ready_at", started)
-                            ) + counter.get("pool_wait", 0.0)
-                            self._record_failure(
-                                step, keys, exc, counter["attempts"],
-                                finished - started, started - t0, finished - t0,
-                                metrics, outcomes, journal,
-                                tracer, counter.get("step_sid"), queue_seconds,
-                            )
-                            if on_error == "raise" or not isinstance(exc, Exception):
+                            if run.on_error == "raise" or not isinstance(exc, Exception):
                                 for other in inflight:
                                     other.cancel()
                                 raise
-                            skip_subtree(step)
-                            continue
-                        attempts = counter["attempts"]
-                        outcome = self._classify(how, attempts)
-                        cache_unavailable = bool(counter.get("cache_unavailable"))
-                        wall = finished - started
-                        pool_wait = counter.get("pool_wait", 0.0)
-                        queue_seconds = (
-                            max(0.0, started - counter.get("ready_at", started))
-                            + pool_wait
-                        )
-                        compute_seconds = max(0.0, wall - pool_wait)
-                        metrics.record(
-                            step.name, keys[step.name], how == "cached",
-                            wall, started - t0, finished - t0,
-                            outcome=outcome, attempts=attempts,
-                            cache_unavailable=cache_unavailable,
-                            queue_seconds=queue_seconds,
-                            compute_seconds=compute_seconds,
-                        )
-                        outcomes[step.name] = StepOutcome(
-                            step.name, outcome, attempts, "", wall,
-                            cache_unavailable,
-                        )
-                        if tracer is not None and "step_sid" in counter:
-                            tracer.end(
-                                counter["step_sid"], outcome=outcome,
-                                attempts=attempts,
-                                queue_wait=round(queue_seconds, 6),
-                                compute=round(compute_seconds, 6),
-                                wall=round(wall, 6),
-                            )
-                        if journal is not None:
-                            journal.step_done(
-                                step.name, keys[step.name], outcome, attempts,
-                                cache_unavailable=cache_unavailable,
-                            )
-                        results[step.name] = value
-                        for dependent in dependents[step.name]:
-                            indegree[dependent.name] -= 1
-                            if indegree[dependent.name] == 0:
-                                submit(by_name[dependent.name])
+                            unavailable.add(step.name)
+                        resolve(step.name)
         finally:
-            if pool is not None:
-                pool.shutdown(wait=True, cancel_futures=True)
-                # Any segment still alive under this run's prefix was
-                # orphaned by a killed/crashed worker whose handle never
-                # reached a decode_result; reclaim it.
-                prefix = self._shm_prefix
-                self._shm_prefix = None
-                if prefix is not None:
-                    leaked = shm.sweep(prefix)
-                    if leaked:
-                        _log.warning(
-                            "swept %d leaked shm segment(s) %s",
-                            len(leaked), kv(prefix=prefix),
-                        )
+            if run.pool is not None:
+                run.pool.close()
         return results

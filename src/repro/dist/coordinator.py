@@ -18,15 +18,20 @@ Failure handling, in increasing order of severity:
   record, and at-most-once publish is preserved by the cache entry lock +
   peek-before-put (see :mod:`repro.dist.worker`).
 * **Poisoned step**: a step that consumes ``poison_threshold`` distinct
-  workers is quarantined — terminal failure, downstream subtree skipped
-  exactly like ``on_error="keep_going"`` skips it.
+  workers is quarantined — a terminal failure whose dependents are
+  skipped exactly like any other failed step's.
 * **Straggler**: an in-flight step on a *live* worker older than
   ``speculate_after`` gets a speculative duplicate at the same epoch on
   an idle worker; whichever publishes first wins, the other observes the
   published value and stands down.
-* **Total fleet loss**: every remaining step is marked failed ("all
-  workers lost") / skipped, and the run returns a DEGRADED
+* **Total fleet loss**: every in-flight and ready step is marked failed
+  ("all workers lost"), which skips everything still blocked behind
+  them, and the run returns a DEGRADED
   :class:`~repro.core.metrics.RunReport` (CLI exit 3) instead of hanging.
+
+Every outcome is written through the pipeline's one settle path
+(``_Run.settle``), so a fleet run's report, trace and journal agree with
+each other and with the in-process executors'.
 
 ``KeyboardInterrupt`` propagates after the ``finally`` block has stopped
 the fleet and removed the run directory (leases and heartbeats included),
@@ -40,17 +45,16 @@ import multiprocessing
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.core.logging import get_logger, kv
-from repro.core.metrics import StepOutcome
 from repro.dist import leases as lease_io
 from repro.dist.heartbeats import FleetMonitor
 from repro.dist.worker import DistConfig, RunSpec, _forked_worker, write_spec
 from repro.obs.spine import merge_segments
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.pipeline import BackendContext, Pipeline
+    from repro.core.pipeline import _Run
 
 _log = get_logger(__name__)
 
@@ -74,26 +78,37 @@ class _Flight:
     killed_by: set[str] = field(default_factory=set)  # dead workers consumed
 
 
-def _resolve_config(ctx: "BackendContext") -> DistConfig:
-    options = dict(ctx.options or {})
-    config = options.pop("config", None)
+def _resolve_config(
+    options: Mapping[str, Any] | None, workers: int, requested_workers: int | None
+) -> DistConfig:
+    loose = dict(options or {})
+    config = loose.pop("config", None)
     if config is None:
-        options.setdefault("workers", ctx.workers)
-        config = DistConfig(**options)
-    else:
-        if options:
-            raise ValueError(
-                f"backend_options mixes a DistConfig with loose keys {sorted(options)}"
-            )
-        if ctx.requested_workers is not None:
-            config = replace(config, workers=ctx.requested_workers)
+        loose.setdefault("workers", workers)
+        return DistConfig(**loose)
+    if loose:
+        raise ValueError(
+            f"backend_options mixes a DistConfig with loose keys {sorted(loose)}"
+        )
+    if requested_workers is not None:
+        config = replace(config, workers=requested_workers)
     return config
 
 
-def run_coordinator(pipeline: "Pipeline", ctx: "BackendContext") -> dict[str, Any]:
-    """Execute the pipeline on a worker fleet; the ``dist`` backend body."""
+def run_coordinator(
+    run: "_Run",
+    options: Mapping[str, Any] | None = None,
+    requested_workers: int | None = None,
+) -> dict[str, Any]:
+    """Execute a pipeline run on a worker fleet; the ``dist`` executor body.
+
+    ``options`` is ``Pipeline.run``'s ``backend_options``;
+    ``requested_workers`` is its ``max_workers`` exactly as passed (None =
+    unspecified), so an explicit request overrides a ``DistConfig``.
+    """
     from repro.core.pipeline import PipelineError
 
+    pipeline = run.pipeline
     cache = pipeline.cache
     if cache.root is None:
         raise PipelineError(
@@ -106,17 +121,17 @@ def run_coordinator(pipeline: "Pipeline", ctx: "BackendContext") -> dict[str, An
             "executor='dist' requires every step function and param to pickle "
             "(workers load the pipeline from the run spec)"
         )
-    chaos = ctx.fault_plan
+    chaos = run.fault_plan
     if chaos is not None and not hasattr(chaos, "bind"):
         raise PipelineError(
             "executor='dist' takes worker-level chaos (repro.core.faults."
             "WorkerFaultPlan); coordinator-side FaultPlan injection has no "
             "worker process to fire in"
         )
-    config = _resolve_config(ctx)
-    ctx.metrics.max_workers = config.workers
+    config = _resolve_config(options, run.metrics.max_workers, requested_workers)
+    run.metrics.max_workers = config.workers
 
-    run_id = ctx.journal.run_id if ctx.journal is not None else None
+    run_id = run.journal.run_id if run.journal is not None else None
     if run_id is None:
         from repro.core.journal import new_run_id
 
@@ -125,12 +140,12 @@ def run_coordinator(pipeline: "Pipeline", ctx: "BackendContext") -> dict[str, An
     spec = RunSpec(
         run_id=run_id,
         steps=tuple(pipeline.steps),
-        keys=dict(ctx.keys),
+        keys=dict(run.keys),
         retries={s.name: pipeline._policy_for(s) for s in pipeline.steps},
         timeouts={s.name: pipeline._timeout_for(s) for s in pipeline.steps},
         cache_root=str(cache.root),
         cache_locking=cache.locking,
-        force=ctx.force,
+        force=run.force,
         config=config,
         chaos=chaos,
     )
@@ -149,7 +164,7 @@ def run_coordinator(pipeline: "Pipeline", ctx: "BackendContext") -> dict[str, An
             proc.start()
             procs[wid] = proc
 
-    sched = _Scheduler(pipeline, ctx, config, run_dir, monitor)
+    sched = _Scheduler(run, config, run_dir, monitor)
     try:
         sched.replay_resumed()
         sched.seed_frontier()
@@ -162,10 +177,10 @@ def run_coordinator(pipeline: "Pipeline", ctx: "BackendContext") -> dict[str, An
         lease_io.signal_stop(run_dir)
         _stop_workers(procs, config.worker_grace)
         stats = sched.fleet_stats()
-        spine = merge_segments(run_dir, tracer=ctx.tracer)
+        spine = merge_segments(run_dir, tracer=run.tracer)
         stats["worker_pids"] = spine["workers"]
         stats["registry"] = spine["registry"]
-        ctx.metrics.backend_stats = stats
+        run.metrics.backend_stats = stats
         lease_io.sweep_dead_tmp(cache.root)
         lease_io.cleanup_run_dir(run_dir)
     if sched.pending_raise is not None:
@@ -190,30 +205,24 @@ class _Scheduler:
     """All coordinator state for one run; one ``tick()`` per scheduling beat."""
 
     def __init__(
-        self,
-        pipeline: "Pipeline",
-        ctx: "BackendContext",
-        config: DistConfig,
-        run_dir: Path,
-        monitor: FleetMonitor,
+        self, run: "_Run", config: DistConfig, run_dir: Path, monitor: FleetMonitor
     ) -> None:
-        self.pipeline = pipeline
-        self.ctx = ctx
+        self.run = run
+        self.cache = run.pipeline.cache
         self.config = config
         self.run_dir = run_dir
         self.monitor = monitor
-        self.steps = {s.name: s for s in pipeline.steps}
-        self.order = [s.name for s in pipeline.steps]
+        self.order = list(run.keys)
         self.done: set[str] = set()
         self.unavailable: set[str] = set()
         self.in_flight: dict[str, _Flight] = {}
         self.ready: list[str] = []
         self.ready_at: dict[str, float] = {}
         self.pending_deps: dict[str, set[str]] = {
-            s.name: set(s.depends_on) for s in pipeline.steps
+            s.name: set(s.depends_on) for s in run.pipeline.steps
         }
         self.dependents: dict[str, list[str]] = {name: [] for name in self.order}
-        for s in pipeline.steps:
+        for s in run.pipeline.steps:
             for dep in s.depends_on:
                 self.dependents[dep].append(s.name)
         self.known_dead: set[str] = set()
@@ -222,7 +231,6 @@ class _Scheduler:
         self.quarantined: list[str] = []
         self.degraded_all_lost = False
         self.pending_raise: BaseException | None = None
-        self.t0 = ctx.t0
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -231,20 +239,21 @@ class _Scheduler:
 
     def replay_resumed(self) -> None:
         """Serve journal-completed steps straight from the cache (PR-4)."""
-        resume, ctx = self.ctx.resume, self.ctx
-        if resume is None or ctx.force:
+        run = self.run
+        if run.resume is None or run.force:
             return
         for name in self.order:
-            key = ctx.keys[name]
-            if resume.completed.get(name) != key:
+            key = run.keys[name]
+            if run.resume.completed.get(name) != key:
                 continue
-            value = self.pipeline.cache.peek(key)
+            value = self.cache.peek(key)
             if value is None:
                 continue  # artifact vanished; the step re-executes normally
-            self.pipeline.cache.hits += 1
-            if ctx.journal is not None:
-                ctx.journal.step_start(name, key)
-            self._record_success(name, "replayed", attempts=0, wall=0.0, worker=None)
+            self.cache.hits += 1
+            if run.journal is not None:
+                run.journal.step_start(name, key)
+            self.done.add(name)
+            run.settle(name, "replayed", compute=0.0)
 
     def seed_frontier(self) -> None:
         now = time.perf_counter()
@@ -277,31 +286,34 @@ class _Scheduler:
                 or result.outcome == "fenced"
             ):
                 continue  # stale epoch, unknown worker, or fenced — ignore
-            if result.outcome in ("ok", "retried", "cached"):
-                if not result.stored:
-                    self._record_failure(
-                        result.step, "failed",
-                        f"dist: artifact for {result.step!r} was not stored "
-                        "(cache unavailable on the worker)",
-                        result.attempts, result.wall, cache_unavailable=True,
-                    )
-                    continue
-                del self.in_flight[result.step]
-                self._record_success(
-                    result.step, result.outcome, result.attempts, result.wall,
-                    worker=result.worker, flight=flight,
-                )
-                self._resolve_dependents(result.step)
-            else:  # failed | timeout
-                self._record_failure(
+            if result.outcome not in ("ok", "retried", "cached"):  # failed | timeout
+                self._fail(
                     result.step, result.outcome, result.error,
                     result.attempts, result.wall,
                 )
+            elif not result.stored:
+                self._fail(
+                    result.step, "failed",
+                    f"dist: artifact for {result.step!r} was not stored "
+                    "(cache unavailable on the worker)",
+                    result.attempts, result.wall, cache_unavailable=True,
+                )
+            else:
+                del self.in_flight[result.step]
+                self.done.add(result.step)
+                self.run.settle(
+                    result.step, result.outcome, result.attempts,
+                    wall=result.wall,
+                    queue=max(0.0, flight.first_assigned_at - flight.ready_at),
+                    compute=result.wall, start=flight.trace_start,
+                    tid=f"dist:{result.worker}",
+                )
+                self._resolve(result.step)
 
     # -- liveness --------------------------------------------------------------
 
     def _trace_renewals(self, advanced: set[str]) -> None:
-        tracer = self.ctx.tracer
+        tracer = self.run.tracer
         if tracer is None or not advanced:
             return
         for flight in self.in_flight.values():
@@ -315,7 +327,7 @@ class _Scheduler:
         newly_dead = self.monitor.dead_workers() - self.known_dead
         if not newly_dead:
             return
-        tracer = self.ctx.tracer
+        tracer = self.run.tracer
         for wid in sorted(newly_dead):
             self.known_dead.add(wid)
             gap = self.monitor.heartbeat_gap(wid)
@@ -343,17 +355,16 @@ class _Scheduler:
                 self._reassign(name, flight)
 
     def _quarantine(self, name: str, flight: _Flight) -> None:
-        del self.in_flight[name]
         self.quarantined.append(name)
-        if self.ctx.tracer is not None:
-            self.ctx.tracer.instant(
+        if self.run.tracer is not None:
+            self.run.tracer.instant(
                 "step.quarantine", "dist", step=name,
                 workers_killed=sorted(flight.killed_by),
             )
         _log.warning(
             kv("dist.quarantine", step=name, workers_killed=len(flight.killed_by))
         )
-        self._record_failure(
+        self._fail(
             name, "failed",
             f"poisoned: step killed {len(flight.killed_by)} distinct workers "
             f"({sorted(flight.killed_by)}); quarantined",
@@ -374,14 +385,14 @@ class _Scheduler:
             self.run_dir,
             lease_io.Assignment(step=name, epoch=flight.epoch, workers=(replacement,)),
         )
-        if self.ctx.tracer is not None:
-            self.ctx.tracer.instant(
+        if self.run.tracer is not None:
+            self.run.tracer.instant(
                 "step.reassign", "dist", step=name, holder=replacement,
                 epoch=flight.epoch,
             )
-        if self.ctx.journal is not None:
-            self.ctx.journal.step_reassign(
-                name, self.ctx.keys[name], worker=replacement, epoch=flight.epoch
+        if self.run.journal is not None:
+            self.run.journal.step_reassign(
+                name, self.run.keys[name], worker=replacement, epoch=flight.epoch
             )
         _log.info(kv("dist.reassign", step=name, worker=replacement, epoch=flight.epoch))
 
@@ -410,8 +421,8 @@ class _Scheduler:
                     workers=tuple(sorted(flight.workers)),
                 ),
             )
-            if self.ctx.tracer is not None:
-                self.ctx.tracer.instant(
+            if self.run.tracer is not None:
+                self.run.tracer.instant(
                     "step.speculate", "dist", step=name, holder=twin,
                     epoch=flight.epoch,
                 )
@@ -451,7 +462,7 @@ class _Scheduler:
 
     def _assign(self, name: str, wid: str) -> None:
         now = time.perf_counter()
-        trace_start = self.ctx.tracer.now() if self.ctx.tracer is not None else 0.0
+        trace_start = self.run.tracer.now() if self.run.tracer is not None else 0.0
         self.in_flight[name] = _Flight(
             step=name, epoch=0, workers={wid}, assigned_at=now,
             ready_at=self.ready_at.get(name, now), first_assigned_at=now,
@@ -460,21 +471,33 @@ class _Scheduler:
         lease_io.write_assignment(
             self.run_dir, lease_io.Assignment(step=name, epoch=0, workers=(wid,))
         )
-        if self.ctx.journal is not None:
-            self.ctx.journal.step_start(name, self.ctx.keys[name])
-        if self.ctx.tracer is not None:
-            self.ctx.tracer.instant(
+        if self.run.journal is not None:
+            self.run.journal.step_start(name, self.run.keys[name])
+        if self.run.tracer is not None:
+            self.run.tracer.instant(
                 "lease.acquire", "dist", step=name, holder=wid, epoch=0
             )
 
-    def _resolve_dependents(self, name: str) -> None:
+    def _resolve(self, name: str) -> None:
+        """``name`` settled. A dependent whose last dependency this was
+        becomes ready, or is settled skipped — which in turn resolves its
+        own dependents."""
         now = time.perf_counter()
-        for child in self.dependents[name]:
-            deps = self.pending_deps[child]
-            deps.discard(name)
-            if not deps and child not in self.done and child not in self.unavailable:
-                self.ready.append(child)
-                self.ready_at[child] = now
+        settled = [name]
+        while settled:
+            parent = settled.pop()
+            for child in self.dependents[parent]:
+                deps = self.pending_deps[child]
+                deps.discard(parent)
+                if deps or child in self.done:  # done: replayed by a resume
+                    continue
+                if self.run.skip_if_upstream_failed(
+                    self.run.steps[child], self.unavailable
+                ):
+                    settled.append(child)
+                else:
+                    self.ready.append(child)
+                    self.ready_at[child] = now
 
     # -- degradation -----------------------------------------------------------
 
@@ -483,69 +506,16 @@ class _Scheduler:
             return
         self.degraded_all_lost = True
         _log.warning(kv("dist.all_workers_lost", remaining=len(self.order) - len(self.done)))
-        for name in list(self.in_flight):
-            del self.in_flight[name]
-            self._record_failure(
-                name, "failed", "all workers lost; run degraded", 0, 0.0
-            )
-        for name in list(self.ready):
-            self._record_failure(
-                name, "failed", "all workers lost; run degraded", 0, 0.0
-            )
+        # Failing every in-flight and ready step resolves the rest: each
+        # blocked step is skipped once its last dependency is settled.
+        for name in list(self.in_flight) + self.ready:
+            self._fail(name, "failed", "all workers lost; run degraded", 0, 0.0)
         self.ready.clear()
-        # Anything still blocked is now permanently starved.
-        for name in self.order:
-            if (
-                name not in self.done
-                and name not in self.unavailable
-            ):
-                self._record_skip(name, ["all workers lost"])
 
-    # -- recording (journal + metrics + trace, mirroring Pipeline._record_*) ---
-
-    def _record_success(
+    def _fail(
         self,
         name: str,
         outcome: str,
-        attempts: int,
-        wall: float,
-        worker: str | None,
-        flight: _Flight | None = None,
-    ) -> None:
-        ctx = self.ctx
-        self.done.add(name)
-        key = ctx.keys[name]
-        now = time.perf_counter()
-        queue_seconds = (
-            max(0.0, flight.first_assigned_at - flight.ready_at)
-            if flight is not None
-            else 0.0
-        )
-        started = flight.first_assigned_at - self.t0 if flight is not None else 0.0
-        ctx.outcomes[name] = StepOutcome(name, outcome, attempts, "", wall)
-        ctx.metrics.record(
-            name, key, outcome == "cached", wall, started, now - self.t0,
-            outcome=outcome, attempts=attempts,
-            queue_seconds=queue_seconds, compute_seconds=wall,
-        )
-        if ctx.tracer is not None:
-            start = flight.trace_start if flight is not None else ctx.tracer.now()
-            ctx.tracer.add_span(
-                f"step:{name}", "step", start, ctx.tracer.now(),
-                tid=f"dist:{worker}" if worker is not None else "dist",
-                step=name, key=key, deps=list(self.steps[name].depends_on),
-                outcome=outcome, attempts=attempts,
-                compute=round(wall, 6), worker=worker,
-            )
-        if ctx.journal is not None:
-            ctx.journal.step_done(name, key, outcome, attempts)
-        if name in self.pending_deps:
-            self.pending_deps[name].clear()
-
-    def _record_failure(
-        self,
-        name: str,
-        status: str,
         error: str,
         attempts: int,
         wall: float,
@@ -553,54 +523,18 @@ class _Scheduler:
     ) -> None:
         from repro.core.pipeline import PipelineError, StepTimeout
 
-        ctx = self.ctx
         self.in_flight.pop(name, None)
         self.unavailable.add(name)
-        _log.warning(kv("step.failed", step=name, status=status, attempts=attempts))
-        ctx.outcomes[name] = StepOutcome(
-            name, status, attempts, error, wall, cache_unavailable
+        self.run.settle(
+            name, outcome, attempts, wall=wall, error=error,
+            cache_unavailable=cache_unavailable,
         )
-        ctx.metrics.record(
-            name, ctx.keys[name], False, wall, 0.0, 0.0, outcome=status,
-            attempts=attempts, error=error, cache_unavailable=cache_unavailable,
-        )
-        if ctx.tracer is not None:
-            now = ctx.tracer.now()
-            ctx.tracer.add_span(
-                f"step:{name}", "step", now, now,
-                step=name, key=ctx.keys[name],
-                deps=list(self.steps[name].depends_on),
-                outcome=status, attempts=attempts, error=error.split("(")[0],
-                wall=round(wall, 6),
-            )
-        if ctx.journal is not None:
-            ctx.journal.step_done(name, ctx.keys[name], status, attempts, error=error)
-        self._skip_subtree(name)
-        if ctx.on_error == "raise" and self.pending_raise is None:
-            exc_type = StepTimeout if status == "timeout" else PipelineError
+        if self.run.on_error == "raise" and self.pending_raise is None:
+            exc_type = StepTimeout if outcome == "timeout" else PipelineError
             self.pending_raise = exc_type(
-                f"step {name!r} {status} in dist run: {error}"
+                f"step {name!r} {outcome} in dist run: {error}"
             )
-
-    def _record_skip(self, name: str, failed_deps: list[str]) -> None:
-        self.unavailable.add(name)
-        self.pipeline._record_skip(
-            self.steps[name], self.ctx.keys, failed_deps, self.ctx.metrics,
-            self.ctx.outcomes, self.ctx.journal, self.ctx.tracer,
-        )
-
-    def _skip_subtree(self, failed: str) -> None:
-        """Cascade ``skipped_upstream`` through the downstream subtree."""
-        frontier = [failed]
-        while frontier:
-            current = frontier.pop()
-            for child in self.dependents[current]:
-                if child in self.done or child in self.unavailable:
-                    continue
-                self._record_skip(child, [current])
-                if child in self.ready:
-                    self.ready.remove(child)
-                frontier.append(child)
+        self._resolve(name)
 
     # -- output ----------------------------------------------------------------
 
@@ -610,7 +544,7 @@ class _Scheduler:
         for name in self.order:
             if name not in self.done:
                 continue
-            value = self.pipeline.cache.peek(self.ctx.keys[name])
+            value = self.cache.peek(self.run.keys[name])
             if value is not None:
                 values[name] = value
         return values

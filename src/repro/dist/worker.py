@@ -12,7 +12,8 @@ Execution of one task::
     chaos("task_start")                      # WorkerKill / Hang / Partition
     lease = FileLock(leases/<step>.lease)    # crashed holders auto-reclaim
     inputs = cache.peek(key(dep)) ...        # deps are already published
-    value = attempt_loop(step)               # retries + cooperative timeout
+    value = _attempt_loop(step, ...)         # the pipeline's loop, no pool:
+                                             # retries + cooperative timeout
     with cache entry lock:                   # per-key single flight
         if cache.peek(key): outcome=cached   # someone already published
         elif not fence_current(): fenced     # our lease expired — discard
@@ -52,7 +53,7 @@ from repro.core.pipeline import (
     PipelineStep,
     RetryPolicy,
     StepTimeout,
-    _call_step,
+    _attempt_loop,
 )
 from repro.dist.leases import (
     TaskResult,
@@ -225,36 +226,6 @@ def _gather_inputs(state: _WorkerState, step: PipelineStep) -> dict[str, Any] | 
     return inputs
 
 
-def _attempt_loop(state: _WorkerState, step: PipelineStep, inputs: dict[str, Any]) -> tuple[Any, int]:
-    """Bounded retries with deterministic backoff; returns (value, attempts).
-
-    Mirrors ``Pipeline._attempt_loop`` but runs inside the worker process,
-    where every timeout is cooperative: a worker cannot hard-kill part of
-    itself, and a truly wedged step is the coordinator's problem (lease
-    expiry / speculation), not the attempt loop's.
-    """
-    policy = state.spec.retries[step.name]
-    timeout = state.spec.timeouts.get(step.name)
-    attempt = 0
-    while True:
-        attempt += 1
-        started = time.perf_counter()
-        try:
-            value = _call_step(step.fn, inputs, dict(step.params))
-            if value is None:
-                raise RuntimeError(f"step {step.name!r} returned None")
-            if timeout is not None and time.perf_counter() - started > timeout:
-                raise StepTimeout(
-                    f"step {step.name!r} exceeded timeout {timeout:.3f}s "
-                    "(cooperative deadline, dist worker)"
-                )
-            return value, attempt
-        except Exception as exc:
-            if attempt >= policy.max_attempts or not policy.retries(exc):
-                raise
-            time.sleep(policy.delay(step.name, attempt))
-
-
 def _acquire_bounded(lock: FileLock | None, budget: float) -> bool:
     """Acquire with a budget; False = proceed locklessly (wedged holder)."""
     if lock is None:
@@ -290,13 +261,21 @@ def _execute_task(state: _WorkerState, step_name: str, epoch: int) -> None:
                 outcome = "failed"
                 error = f"dist worker {worker}: upstream artifact unreadable"
             else:
+                # Every timeout here is cooperative: a worker cannot hard-kill
+                # part of itself, and a truly wedged step is the
+                # coordinator's problem (lease expiry / speculation).
+                counter: dict[str, Any] = {}
                 try:
-                    value, attempts = _attempt_loop(state, step, inputs)
+                    value = _attempt_loop(
+                        step, inputs, spec.retries[step_name],
+                        spec.timeouts.get(step_name), counter,
+                    )
                 except StepTimeout as exc:
                     outcome, error = "timeout", repr(exc)
                 except Exception as exc:
                     outcome, error = "failed", repr(exc)
                 else:
+                    attempts = counter["attempts"]
                     outcome = "retried" if attempts > 1 else "ok"
                     published, stored = _publish(state, step_name, key, epoch, value)
                     if published is None:  # fenced: lease lost mid-compute

@@ -35,7 +35,7 @@ from repro.analysis.telemetry import (
     runtime_figure,
 )
 from repro.analysis.training import training_summary
-from repro.core.metrics import ExecutorMetrics, RunReport, StepOutcome
+from repro.core.metrics import ExecutorMetrics
 from repro.core.study import Study
 from repro.core.trends import TrendRow
 from repro.report.figures import FigureSeries
@@ -581,14 +581,14 @@ def run_all_experiments_with_metrics(
                 raise
             finished = time.perf_counter()
             metrics.record(
-                eid, "", False, finished - started, started - t0, finished - t0,
+                eid, "", False, finished - started,
                 outcome="failed", error=repr(exc),
                 queue_seconds=started - t0, compute_seconds=finished - started,
             )
             return None
         finished = time.perf_counter()
         metrics.record(
-            eid, "", False, finished - started, started - t0, finished - t0,
+            eid, "", False, finished - started,
             queue_seconds=started - t0, compute_seconds=finished - started,
         )
         return artifact
@@ -626,20 +626,13 @@ def run_all_experiments_with_metrics(
                     status, payload = result[eid]
                     if status == "ok":
                         artifacts[eid] = payload
-                        metrics.record(eid, "", False, share, started - t0, finished - t0)
+                        metrics.record(eid, "", False, share)
                     else:
                         metrics.record(
-                            eid, "", False, share, started - t0, finished - t0,
-                            outcome="failed", error=str(payload),
+                            eid, "", False, share, outcome="failed", error=str(payload)
                         )
         artifacts = {eid: artifacts[eid] for eid in ids if eid in artifacts}
     metrics.wall_seconds = time.perf_counter() - t0
-    metrics.run_report = RunReport(
-        outcomes=tuple(
-            StepOutcome(m.name, m.outcome, m.attempts, m.error, m.wall_seconds)
-            for m in metrics.steps
-        )
-    )
     return artifacts, metrics
 
 
