@@ -324,7 +324,8 @@ def simulate_schedule(
     backfill_depth:
         Maximum queued jobs scanned per backfill attempt.
     failure_rate, cancel_rate, timeout_rate:
-        Terminal-state probabilities.
+        Terminal-state probabilities: each non-negative, summing to < 1
+        (the rest complete).
     node_granular:
         Per-node placement instead of pooled counters (see module docs).
     priority:
@@ -335,8 +336,15 @@ def simulate_schedule(
     Raises
     ------
     ValueError
-        If a job names an unknown partition or can never fit on it.
+        If a terminal-state rate is negative or the rates sum to >= 1, or a
+        job names an unknown partition or can never fit on it.
     """
+    rates = dict(failure_rate=failure_rate, cancel_rate=cancel_rate, timeout_rate=timeout_rate)
+    for name, rate in rates.items():
+        if not rate >= 0.0:
+            raise ValueError(f"{name} must be non-negative, got {rate!r}")
+    if not sum(rates.values()) < 1.0:
+        raise ValueError(f"terminal-state rates must sum to < 1, got {rates}")
     cluster = cluster or DEFAULT_CLUSTER
     rng = rng if rng is not None else np.random.default_rng(0)
     if priority not in _PRIORITIES:

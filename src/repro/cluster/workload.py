@@ -15,8 +15,9 @@ captures the structure the study's telemetry analyses depend on:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -26,6 +27,25 @@ __all__ = ["SubmittedJob", "WorkloadParams", "WorkloadModel", "diurnal_intensity
 
 DAY = 86400.0
 WEEK = 7.0 * DAY
+
+_POW2 = (1, 2, 4, 8, 16, 32, 64)
+# GPUs per GPU job and their probabilities.
+_GPU_COUNTS = (1, 1, 1, 2, 4, 8)
+_GPU_COUNT_P = (0.45, 0.2, 0.1, 0.15, 0.07, 0.03)
+
+
+def _choice_cdf(p) -> list[float]:
+    """The CDF ``Generator.choice(len(p), p=p)`` searches, as a list.
+
+    ``choice`` consumes one uniform double ``u`` and returns
+    ``cdf.searchsorted(u, side="right")`` with ``cdf = p.cumsum();
+    cdf /= cdf[-1]``. ``bisect_right(_choice_cdf(p), rng.random())`` makes
+    the same draw and returns the same index, without ``choice``
+    re-validating a constant distribution on every call.
+    """
+    cdf = np.asarray(p, dtype=float).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
 
 
 def diurnal_intensity(times) -> np.ndarray:
@@ -145,9 +165,6 @@ class WorkloadParams:
         Per-field mixes; defaults to :data:`DEFAULT_FIELD_MIXES`.
     walltime_overrequest:
         Mean multiplicative factor users pad requested walltime by.
-    failure_rate, cancel_rate, timeout_rate:
-        Probabilities of non-COMPLETED terminal states, applied by the
-        scheduler simulator.
     diurnal:
         Modulate submissions by time-of-day and day-of-week (weekday
         working-hours peak, ~3x the overnight trough; weekends quieter).
@@ -163,9 +180,6 @@ class WorkloadParams:
         default_factory=lambda: dict(DEFAULT_FIELD_MIXES)
     )
     walltime_overrequest: float = 2.0
-    failure_rate: float = 0.06
-    cancel_rate: float = 0.03
-    timeout_rate: float = 0.02
     diurnal: bool = False
 
     def __post_init__(self) -> None:
@@ -181,9 +195,6 @@ class WorkloadParams:
             raise ValueError("field_mixes is empty")
         if self.walltime_overrequest < 1.0:
             raise ValueError("walltime_overrequest must be >= 1.0")
-        total_terminal = self.failure_rate + self.cancel_rate + self.timeout_rate
-        if total_terminal >= 1.0:
-            raise ValueError("failure/cancel/timeout rates sum to >= 1")
 
     @property
     def window_seconds(self) -> float:
@@ -200,10 +211,17 @@ class WorkloadModel:
     ) -> None:
         self.params = params or WorkloadParams()
         self.cluster = cluster or DEFAULT_CLUSTER
-        self._user_weight_cache: dict[str, np.ndarray] = {}
         for required in ("cpu", "gpu", "serial"):
             if required not in self.cluster:
                 raise ValueError(f"cluster must define a {required!r} partition")
+        gpu_part = self.cluster["gpu"]
+        if gpu_part.total_gpus == 0 and any(
+            m.gpu_share > 0 for m in self.params.field_mixes.values()
+        ):
+            raise ValueError(
+                f"partition {gpu_part.name!r} of cluster {self.cluster.name!r} has no "
+                "GPUs, but a field mix has gpu_share > 0"
+            )
 
     # -- internals --------------------------------------------------------
 
@@ -262,108 +280,84 @@ class WorkloadModel:
         idx = rng.choice(len(names), size=n, p=weights)
         return np.array(names, dtype=object)[idx]
 
-    def _user_weights(self, field_name: str) -> np.ndarray:
-        cached = self._user_weight_cache.get(field_name)
-        if cached is None:
-            # Zipf-ish activity: user of rank k gets weight 1/k.
-            mix = self.params.field_mixes[field_name]
-            weights = 1.0 / (np.arange(mix.n_users, dtype=float) + 1.0)
-            cached = weights / weights.sum()
-            self._user_weight_cache[field_name] = cached
-        return cached
-
-    def _user_for(self, field_name: str, rng: np.random.Generator) -> str:
-        weights = self._user_weights(field_name)
-        k = rng.choice(weights.size, p=weights)
-        return f"{field_name[:4]}{k:03d}"
-
-    def _cpu_job_shape(
-        self, field_name: str, rng: np.random.Generator
-    ) -> tuple[str, int, int]:
-        mix = self.params.field_mixes[field_name]
-        cpu_part = self.cluster["cpu"]
-        if rng.random() < mix.wide_share * 0.6:
-            # Wide MPI-style job: power-of-two node counts (2..8 nodes).
-            nodes = int(2 ** rng.integers(1, 4))
-            cores = nodes * cpu_part.cores_per_node
-            return "cpu", min(cores, cpu_part.total_cores), 0
-        if rng.random() < 0.5:
-            # Small-to-medium multicore job on the shared partition.
-            cores = int(2 ** rng.integers(0, 7))  # 1..64 cores
-            return "serial", cores, 0
-        if rng.random() < 0.12 and "bigmem" in self.cluster:
-            cores = int(2 ** rng.integers(3, 7))
-            return "bigmem", cores, 0
-        cores = int(2 ** rng.integers(2, 7))  # 4..64 cores
-        return "cpu", cores, 0
-
-    def _gpu_job_shape(self, rng: np.random.Generator) -> tuple[str, int, int]:
-        gpu_part = self.cluster["gpu"]
-        gpus = int(rng.choice([1, 1, 1, 2, 4, 8], p=[0.45, 0.2, 0.1, 0.15, 0.07, 0.03]))
-        gpus = min(gpus, gpu_part.total_gpus)
-        cores = min(gpus * 8, gpu_part.total_cores)
-        return "gpu", cores, gpus
-
-    def _runtime(self, field_name: str, rng: np.random.Generator, partition: str) -> float:
-        mix = self.params.field_mixes[field_name]
-        cap = self.cluster[partition].max_walltime
-        runtime = rng.lognormal(np.log(mix.mean_runtime_hours * 3600.0), 1.2)
-        return float(np.clip(runtime, 60.0, cap * 0.98))
-
     # -- public API ---------------------------------------------------------
 
     def generate(self, rng: np.random.Generator) -> list[SubmittedJob]:
         """Generate the full submission stream, sorted by submit time."""
         p = self.params
+        cluster = self.cluster
         cpu_times, gpu_times = self._arrival_times(rng)
         cpu_fields = self._field_for_jobs(cpu_times.size, gpu=False, rng=rng)
         gpu_fields = self._field_for_jobs(gpu_times.size, gpu=True, rng=rng)
 
+        # Exact-stream loop. Each job draws, in order: its shape (CPU: a wide
+        # coin, then serial and bigmem coins as needed, then one
+        # ``integers``; GPU: one GPU count), a ``lognormal`` runtime, an
+        # ``exponential`` walltime pad, and its user. Those calls and their
+        # arguments are fixed (tests/cluster/test_workload_stream.py pins
+        # them against a per-job helper formulation); whatever is constant
+        # within this call is resolved here once. Equivalences relied on:
+        # ``choice(n, p=w)`` is ``bisect_right(cdf, random())`` (see
+        # _choice_cdf); ``float(np.clip(x, lo, hi))`` on the scalar runtime
+        # is ``min(max(x, lo), hi)``; ``tolist()`` yields the same Python
+        # floats/strs as ``float()``/``str()`` per element.
+        fields = {}
+        for name, mix in p.field_mixes.items():
+            # Zipf-ish activity: user of rank k gets weight 1/k.
+            weights = 1.0 / (np.arange(mix.n_users, dtype=float) + 1.0)
+            fields[name] = (
+                mix.wide_share * 0.6,
+                _choice_cdf(weights / weights.sum()),
+                name[:4],
+                float(np.log(mix.mean_runtime_hours * 3600.0)),
+            )
+        # Per partition: (walltime cap, runtime clip ceiling).
+        limits = {
+            part.name: (float(part.max_walltime), part.max_walltime * 0.98)
+            for part in cluster
+        }
+        cpu_part, gpu_part = cluster["cpu"], cluster["gpu"]
+        wide_cores = [
+            min(nodes * cpu_part.cores_per_node, cpu_part.total_cores)
+            for nodes in _POW2[:4]
+        ]
+        gpu_cdf = _choice_cdf(_GPU_COUNT_P)
+        gpu_counts = [min(gpus, gpu_part.total_gpus) for gpus in _GPU_COUNTS]
+        gpu_shapes = [(gpus, min(gpus * 8, gpu_part.total_cores)) for gpus in gpu_counts]
+        has_bigmem = "bigmem" in cluster
+        random, integers = rng.random, rng.integers
+        lognormal, exponential = rng.lognormal, rng.exponential
+        pad = p.walltime_overrequest - 1.0
         jobs: list[SubmittedJob] = []
-        job_id = 0
-        for submit, field_name in zip(cpu_times, cpu_fields):
-            partition, cores, gpus = self._cpu_job_shape(str(field_name), rng)
-            runtime = self._runtime(str(field_name), rng, partition)
-            walltime = min(
-                runtime * (1.0 + rng.exponential(p.walltime_overrequest - 1.0)),
-                self.cluster[partition].max_walltime,
-            )
-            walltime = max(walltime, runtime)
-            jobs.append(
+        append = jobs.append
+
+        def emit(submit: float, name: str, partition: str, cores: int, gpus: int) -> None:
+            _, user_cdf, prefix, log_mean = fields[name]
+            cap, ceiling = limits[partition]
+            runtime = min(max(lognormal(log_mean, 1.2), 60.0), ceiling)
+            walltime = max(min(runtime * (1.0 + exponential(pad)), cap), runtime)
+            user = f"{prefix}{bisect_right(user_cdf, random()):03d}"
+            append(
                 SubmittedJob(
-                    job_id=job_id,
-                    user=self._user_for(str(field_name), rng),
-                    field=str(field_name),
-                    partition=partition,
-                    submit=float(submit),
-                    cores=cores,
-                    gpus=gpus,
-                    runtime=runtime,
-                    requested_walltime=float(walltime),
+                    len(jobs), user, name, partition, submit, cores, gpus, runtime, walltime
                 )
             )
-            job_id += 1
-        for submit, field_name in zip(gpu_times, gpu_fields):
-            partition, cores, gpus = self._gpu_job_shape(rng)
-            runtime = self._runtime(str(field_name), rng, partition)
-            walltime = min(
-                runtime * (1.0 + rng.exponential(p.walltime_overrequest - 1.0)),
-                self.cluster[partition].max_walltime,
-            )
-            walltime = max(walltime, runtime)
-            jobs.append(
-                SubmittedJob(
-                    job_id=job_id,
-                    user=self._user_for(str(field_name), rng),
-                    field=str(field_name),
-                    partition=partition,
-                    submit=float(submit),
-                    cores=cores,
-                    gpus=gpus,
-                    runtime=runtime,
-                    requested_walltime=float(walltime),
-                )
-            )
-            job_id += 1
+
+        for submit, name in zip(cpu_times.tolist(), cpu_fields.tolist()):
+            if random() < fields[name][0]:
+                # Wide MPI-style job: power-of-two node counts (2..8 nodes).
+                emit(submit, name, "cpu", wide_cores[integers(1, 4)], 0)
+            elif random() < 0.5:
+                # Small-to-medium multicore job on the shared partition.
+                emit(submit, name, "serial", _POW2[integers(0, 7)], 0)  # 1..64 cores
+            # The bigmem coin is drawn before the partition test, so a
+            # cluster without bigmem still consumes it.
+            elif random() < 0.12 and has_bigmem:
+                emit(submit, name, "bigmem", _POW2[integers(3, 7)], 0)  # 8..64 cores
+            else:
+                emit(submit, name, "cpu", _POW2[integers(2, 7)], 0)  # 4..64 cores
+        for submit, name in zip(gpu_times.tolist(), gpu_fields.tolist()):
+            gpus, cores = gpu_shapes[bisect_right(gpu_cdf, random())]
+            emit(submit, name, "gpu", cores, gpus)
         jobs.sort(key=lambda j: j.submit)
         return jobs

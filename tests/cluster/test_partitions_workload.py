@@ -1,5 +1,7 @@
 """Tests for the capacity model and workload generator."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from repro.cluster import (
     WorkloadParams,
 )
 from repro.cluster.partitions import DEFAULT_CLUSTER
+from repro.cluster.workload import DEFAULT_FIELD_MIXES
 
 
 class TestPartition:
@@ -74,7 +77,6 @@ class TestWorkloadParams:
             dict(gpu_growth_per_month=-0.1),
             dict(gpu_base_scale=0),
             dict(walltime_overrequest=0.5),
-            dict(failure_rate=0.5, cancel_rate=0.4, timeout_rate=0.2),
         ],
     )
     def test_validation(self, kw):
@@ -148,6 +150,25 @@ class TestWorkloadModel:
         tiny = ClusterConfig("t", (Partition("cpu", nodes=1, cores_per_node=4),))
         with pytest.raises(ValueError):
             WorkloadModel(cluster=tiny)
+
+    def test_gpu_partition_without_gpus_rejected(self):
+        cluster = ClusterConfig(
+            "nogpu",
+            (
+                Partition("cpu", nodes=4, cores_per_node=64),
+                Partition("gpu", nodes=2, cores_per_node=48),
+                Partition("serial", nodes=1, cores_per_node=32),
+            ),
+        )
+        with pytest.raises(ValueError, match="partition 'gpu' .* has no GPUs"):
+            WorkloadModel(WorkloadParams(months=1, jobs_per_day=50), cluster)
+        # With no field submitting GPU jobs, the same cluster is usable.
+        mixes = {
+            name: replace(mix, gpu_share=0.0) for name, mix in DEFAULT_FIELD_MIXES.items()
+        }
+        params = WorkloadParams(months=1, jobs_per_day=50, field_mixes=mixes)
+        jobs = WorkloadModel(params, cluster).generate(np.random.default_rng(2))
+        assert jobs and all(j.gpus == 0 and j.partition != "gpu" for j in jobs)
 
     def test_field_mix_drives_field_distribution(self, small_workload):
         _, jobs = small_workload

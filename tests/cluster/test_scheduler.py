@@ -189,6 +189,27 @@ class TestTerminalStates:
         done = result.table.mask(result.table.state == "COMPLETED")
         assert failed.runtime.mean() < done.runtime.mean()
 
+    @pytest.mark.parametrize(
+        "rates",
+        [
+            dict(failure_rate=-0.1),
+            dict(cancel_rate=-0.01),
+            dict(timeout_rate=float("nan")),
+            dict(failure_rate=1.5),
+            dict(failure_rate=0.5, cancel_rate=0.4, timeout_rate=0.2),
+            dict(failure_rate=0.5, cancel_rate=0.3, timeout_rate=0.2),
+        ],
+        ids=["negative", "negative_cancel", "nan", "above_one", "sum_above_one", "sum_one"],
+    )
+    def test_rejects_out_of_range_rates(self, rates):
+        """Out-of-range rates are refused before any draw, not silently
+        turned into all-COMPLETED, all-FAILED or truncated TIMEOUT shares."""
+        rng = np.random.default_rng(4)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="rate"):
+            simulate_schedule([job(0)], TINY, rng=rng, **rates)
+        assert rng.bit_generator.state == before
+
     def test_determinism(self):
         jobs = [job(i, submit=float(i)) for i in range(200)]
         a = simulate_schedule(jobs, TINY, rng=np.random.default_rng(3))
