@@ -71,9 +71,11 @@ from concurrent.futures import (
     ThreadPoolExecutor,
     wait,
 )
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
 
 from repro.core import shm
 from repro.core.logging import get_logger, kv, set_run_id
@@ -178,6 +180,21 @@ class RetryPolicy:
 NO_RETRY = RetryPolicy(max_attempts=1, backoff_base=0.0, jitter=0.0)
 
 
+def _const_repr(const: Any) -> str:
+    """``repr(const)``, except that frozensets list their members sorted.
+
+    A ``frozenset`` constant (``x in {"a", "b"}`` compiles to one) reprs
+    in hash order, which follows ``PYTHONHASHSEED``. Any other constant,
+    and any tuple with no frozenset inside, gives exactly its ``repr``.
+    """
+    if isinstance(const, frozenset):
+        return f"frozenset({{{', '.join(sorted(map(_const_repr, const)))}}})"
+    if isinstance(const, tuple):
+        items = ", ".join(map(_const_repr, const))
+        return f"({items},)" if len(const) == 1 else f"({items})"
+    return repr(const)
+
+
 def _hash_code(h: "hashlib._Hash", code: types.CodeType) -> None:
     # Nested code objects repr with memory addresses; recurse into them so
     # the fingerprint is stable across interpreter runs.
@@ -186,7 +203,7 @@ def _hash_code(h: "hashlib._Hash", code: types.CodeType) -> None:
         if isinstance(const, types.CodeType):
             _hash_code(h, const)
         else:
-            h.update(repr(const).encode())
+            h.update(_const_repr(const).encode())
 
 
 def fingerprint_callable(fn: Callable[..., Any]) -> str:
@@ -207,47 +224,54 @@ def fingerprint_callable(fn: Callable[..., Any]) -> str:
     return h.hexdigest()[:16]
 
 
-# On-disk artifact container: protocol-5 pickle stream with the array
-# bodies appended as raw out-of-band frames. Writing streams each frame
-# straight from the source buffer (no joined in-memory blob, no in-band
-# copy of array payloads inside the pickle stream); reading rebuilds the
-# frames as writable bytearrays so rehydrated arrays behave exactly like
-# an in-band unpickle. Entries written by older versions are plain pickle
+# Artifact container: protocol-5 pickle stream with the array bodies
+# appended as raw out-of-band frames. It is the one encoding a step value
+# gets: the cache stores it, and on the process path it is also what
+# crosses every process boundary. Writing streams each frame straight
+# from the source buffer (no joined in-memory blob, no in-band copy of
+# array payloads inside the pickle stream); reading rebuilds the frames
+# as writable bytearrays so rehydrated arrays behave exactly like an
+# in-band unpickle. Entries written by older versions are plain pickle
 # streams — _decode_artifact falls back to pickle.loads for those.
 _ARTIFACT_MAGIC = b"RPA5\x00"
 _U64 = struct.Struct("<Q")
 _U32 = struct.Struct("<I")
 
 
-def _write_artifact(fh, value: Any) -> None:
-    """Stream ``value`` into ``fh`` as a protocol-5 out-of-band container."""
+@contextmanager
+def _artifact_parts(value: Any) -> Iterator[list[Any]]:
+    """``value``'s container as byte-like parts, in order (the one encoder).
+
+    Each array body is a view of its source buffer, valid only inside
+    the ``with`` block; writing the parts one by one never joins them.
+    """
     buffers: list[pickle.PickleBuffer] = []
     stream = pickle.dumps(value, protocol=5, buffer_callback=buffers.append)
     try:
-        fh.write(_ARTIFACT_MAGIC)
-        fh.write(_U64.pack(len(stream)))
-        fh.write(stream)
-        fh.write(_U32.pack(len(buffers)))
+        parts: list[Any] = [
+            _ARTIFACT_MAGIC, _U64.pack(len(stream)), stream, _U32.pack(len(buffers))
+        ]
         for buf in buffers:
             raw = buf.raw()
-            fh.write(_U64.pack(raw.nbytes))
-            fh.write(raw)
+            parts.append(_U64.pack(raw.nbytes))
+            parts.append(raw)
+        yield parts
     finally:
         for buf in buffers:
             buf.release()
 
 
+def _write_artifact(fh, value: Any) -> None:
+    """Stream ``value`` into ``fh`` as a protocol-5 out-of-band container."""
+    with _artifact_parts(value) as parts:
+        for part in parts:
+            fh.write(part)
+
+
 def _encode_artifact(value: Any) -> bytes:
-    """Container bytes for in-memory caches (joined; copies frames)."""
-    buffers: list[pickle.PickleBuffer] = []
-    stream = pickle.dumps(value, protocol=5, buffer_callback=buffers.append)
-    parts = [_ARTIFACT_MAGIC, _U64.pack(len(stream)), stream, _U32.pack(len(buffers))]
-    for buf in buffers:
-        raw = buf.raw()
-        parts.append(_U64.pack(raw.nbytes))
-        parts.append(raw.tobytes())
-        buf.release()
-    return b"".join(parts)
+    """``value``'s container as one ``bytes`` (joined; copies frames)."""
+    with _artifact_parts(value) as parts:
+        return b"".join(parts)
 
 
 def _decode_artifact(blob: bytes) -> Any:
@@ -280,6 +304,19 @@ def _decode_artifact(blob: bytes) -> Any:
     if offset != len(blob):
         raise ValueError("trailing garbage in artifact container")
     return pickle.loads(stream, buffers=frames)
+
+
+@dataclass(frozen=True, slots=True)
+class _Encoded:
+    """A process-path step value together with its container bytes.
+
+    A pool worker encodes each value once. The coordinator publishes
+    ``blob`` verbatim (:meth:`ArtifactCache.put`), hands the same ``blob``
+    to every dependent it submits, and returns ``value``, decoded once.
+    """
+
+    value: Any
+    blob: bytes
 
 
 class ArtifactCache:
@@ -341,31 +378,36 @@ class ArtifactCache:
             except OSError:
                 pass
 
-    def _peek(self, key: str) -> Any | None:
+    def _peek(self, key: str, info: dict[str, Any] | None = None) -> Any | None:
         """Like :meth:`get` but without touching the hit/miss counters."""
         blob = self._load(key)
         if blob is None:
             return None
         try:
-            return _decode_artifact(blob)
+            value = _decode_artifact(blob)
         except Exception:
             # Corrupt/truncated entry (killed writer on a non-atomic FS,
             # disk damage): treat as a miss and drop the bad artifact.
             self._evict(key)
             return None
+        if info is not None:
+            info["blob"] = blob
+        return value
 
-    def peek(self, key: str) -> Any | None:
+    def peek(self, key: str, info: dict[str, Any] | None = None) -> Any | None:
         """Cached value for ``key`` without counting a hit or miss.
 
         Resume-replay uses this to check whether a journal-completed step's
         artifact actually survived, without skewing the hit/miss telemetry
-        the ablation bench reads.
+        the ablation bench reads. On a hit, an ``info`` dict receives the
+        container bytes the value was decoded from as ``info["blob"]``, so
+        a caller that forwards them neither reads nor encodes them again.
         """
-        return self._peek(key)
+        return self._peek(key, info)
 
-    def get(self, key: str) -> Any | None:
-        """Cached value for ``key``, or None."""
-        value = self._peek(key)
+    def get(self, key: str, info: dict[str, Any] | None = None) -> Any | None:
+        """Cached value for ``key``, or None; ``info`` as in :meth:`peek`."""
+        value = self._peek(key, info)
         if value is None:
             self.misses += 1
             _trace_instant("cache.miss", "cache", key=key)
@@ -388,14 +430,17 @@ class ArtifactCache:
         pickle stream stays small and each array body is streamed to the
         file straight from its source buffer, so publishing a large
         columnar artifact never materializes a second in-memory copy of
-        its payload.
+        its payload. An :class:`_Encoded` value (the process path) is
+        already in that container format: its bytes are published as they
+        are, through the same path.
         """
+        blob = value.blob if isinstance(value, _Encoded) else None
         try:
             if key in self._fail_put_keys:
                 self._fail_put_keys.discard(key)
                 raise OSError(28, "injected: no space left on device")  # ENOSPC
             if self.root is None:
-                self._memory[key] = _encode_artifact(value)
+                self._memory[key] = _encode_artifact(value) if blob is None else blob
                 _trace_instant("cache.put", "cache", key=key, stored=True)
                 return True
             self.root.mkdir(parents=True, exist_ok=True)
@@ -403,7 +448,10 @@ class ArtifactCache:
             tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
             try:
                 with open(tmp, "wb") as fh:
-                    _write_artifact(fh, value)
+                    if blob is None:
+                        _write_artifact(fh, value)
+                    else:
+                        fh.write(blob)
                     fh.flush()
                     # Durable before visible: without this fsync a power
                     # loss after the rename can expose a zero-length
@@ -510,9 +558,10 @@ class ArtifactCache:
         still publishes the recomputed value.
 
         When ``info`` is a dict it receives out-of-band detail:
-        ``computed`` (True when ``compute`` actually ran) and ``stored``
+        ``computed`` (True when ``compute`` actually ran), ``stored``
         (False when the computed value failed to persist — the
-        ``cache_unavailable`` degradation).
+        ``cache_unavailable`` degradation) and, on a hit, ``blob`` (see
+        :meth:`peek`).
 
         One benign race: a reader that loaded a *corrupt* blob before a
         concurrent heal was published may evict the fresh entry and
@@ -525,7 +574,7 @@ class ArtifactCache:
             info.setdefault("computed", False)
             info.setdefault("stored", True)
         if not force:
-            value = self.get(key)
+            value = self.get(key, info)
             if value is not None:
                 return value, True
         with self._lock_for(key):
@@ -536,7 +585,7 @@ class ArtifactCache:
                 if not force:
                     # Another flight — thread or process — may have
                     # published while we waited on either lock.
-                    value = self._peek(key)
+                    value = self._peek(key, info)
                     if value is not None:
                         return value, True
                 value = compute()
@@ -623,7 +672,7 @@ def _call_step(
     fn: Callable[..., Any],
     inputs: dict[str, Any],
     params: dict[str, Any],
-    shm_prefix: str | None = None,
+    transport: Callable[[list[Any]], Any] | None = None,
     resources: bool = False,
 ) -> tuple[Any, dict[str, Any]]:
     """Run one attempt of a step function: the body every executor shares.
@@ -632,11 +681,17 @@ def _call_step(
     worker can unpickle the invocation. A process worker cannot reach the
     coordinator's tracer, so it measures itself (pid, compute seconds,
     and CPU/peak RSS when ``resources``) and ships the measurement back
-    through the pool's existing result channel. With ``shm_prefix`` the
-    value is pickled once into a transport envelope whose large
-    numpy-backed payloads travel through a shared-memory segment named
-    under that prefix (see :mod:`repro.core.shm`).
+    through the pool's existing result channel.
+
+    With ``transport`` (the process path) each input arrives as container
+    bytes and is decoded here, and the value is encoded once into
+    container parts, which ``transport`` turns into what travels back: a
+    :mod:`repro.core.shm` envelope from a pool worker, the joined bytes
+    from a killable one. A None value stays None, for the caller to
+    reject.
     """
+    if transport is not None:
+        inputs = {dep: _decode_artifact(blob) for dep, blob in inputs.items()}
     probe0 = resource_probe() if resources else None
     t0 = time.perf_counter()
     value = fn(inputs, **params)
@@ -649,14 +704,15 @@ def _call_step(
         if probe1 is not None:
             payload["cpu"] = round(probe1[0] - probe0[0], 6)
             payload["rss_kb"] = probe1[1]
-    if shm_prefix is not None:
-        value = shm.encode_result(value, shm_prefix)
+    if transport is not None and value is not None:
+        with _artifact_parts(value) as parts:
+            value = transport(parts)
     return value, payload
 
 
 def _killable_target(conn, fn, inputs, params) -> None:  # pragma: no cover - child process
     try:
-        value, _ = _call_step(fn, inputs, params)
+        blob, _ = _call_step(fn, inputs, params, b"".join)
     except BaseException as exc:
         try:
             conn.send(("error", exc))
@@ -664,21 +720,21 @@ def _killable_target(conn, fn, inputs, params) -> None:  # pragma: no cover - ch
             # The exception itself didn't pickle; ship its repr instead.
             conn.send(("error", PipelineError(f"step raised unpicklable {exc!r}")))
     else:
-        try:
-            conn.send(("ok", value))
-        except Exception as exc:
-            conn.send(("error", PipelineError(f"step result did not pickle: {exc!r}")))
+        conn.send(("ok", blob))
     finally:
         conn.close()
 
 
-def _run_killable(step: "PipelineStep", inputs: dict[str, Any], timeout: float) -> Any:
+def _run_killable(
+    step: "PipelineStep", inputs: dict[str, bytes], timeout: float
+) -> bytes | None:
     """Run one attempt in a dedicated process that can be hard-killed.
 
     Process-mode steps with a timeout get their own worker instead of a
     slot on the shared pool: a shared-pool worker cannot be terminated
     without poisoning every other in-flight step, while a dedicated
     process can be ``terminate()``d the instant the deadline passes.
+    Inputs and result are container bytes, as on the pool.
     """
     parent_conn, child_conn = multiprocessing.Pipe(duplex=False)
     proc = multiprocessing.Process(
@@ -715,8 +771,9 @@ def _run_killable(step: "PipelineStep", inputs: dict[str, Any], timeout: float) 
 class _ProcessPool:
     """Process-mode worker pool plus the run's shared-memory namespace.
 
-    Each attempt is one submit of :func:`_call_step`; its value returns
-    as a transport envelope named under this pool's prefix. Zero-copy
+    Each attempt is one submit of :func:`_call_step` with its inputs as
+    container bytes; the value's container bytes return through a
+    transport envelope named under this pool's prefix. Zero-copy
     transport is a process-mode concern only: sequential and thread
     executors pass values in-process and never touch :mod:`repro.core.shm`.
     """
@@ -724,14 +781,15 @@ class _ProcessPool:
     def __init__(self, workers: int) -> None:
         self.executor = ProcessPoolExecutor(max_workers=workers)
         self.shm_prefix = shm.run_prefix()
+        self.transport = partial(shm.encode_result, prefix=self.shm_prefix)
 
     def call(
-        self, step: PipelineStep, inputs: dict[str, Any], resources: bool
-    ) -> tuple[Any, dict[str, Any]]:
+        self, step: PipelineStep, inputs: dict[str, bytes], resources: bool
+    ) -> tuple[bytes | None, dict[str, Any]]:
         envelope, payload = self.executor.submit(
-            _call_step, step.fn, inputs, dict(step.params), self.shm_prefix, resources
+            _call_step, step.fn, inputs, dict(step.params), self.transport, resources
         ).result()
-        return shm.decode_result(envelope), payload
+        return (None if envelope is None else shm.decode_result(envelope)), payload
 
     def close(self) -> None:
         self.executor.shutdown(wait=True, cancel_futures=True)
@@ -765,7 +823,9 @@ def _attempt_loop(
     coordinating process, inside the cache's single-flight lock, so
     retries of one step never duplicate work across concurrent runs. A
     dist worker runs it with no pool, fault plan or tracer; without a
-    pool every timeout is cooperative.
+    pool every timeout is cooperative. With a pool, ``inputs`` map each
+    dependency to its container bytes and the result is an
+    :class:`_Encoded`.
     """
     attempt = 0
     while True:
@@ -798,21 +858,27 @@ def _attempt_loop(
             payload: dict[str, Any] | None = None
             if pool is None:
                 value, _ = _call_step(step.fn, inputs, dict(step.params))
-            elif deadline is not None:
-                # Hard timeout: dedicated killable worker (see _run_killable).
-                # Its dedicated Pipe is torn down with the process, so the
-                # result stays inline — shm ownership could not be handed
-                # off safely across a terminate().
-                value = _run_killable(step, inputs, deadline - time.perf_counter())
             else:
-                value, payload = pool.call(
-                    step, inputs, tracer is not None and tracer.resources
-                )
-                # The worker measured its own compute, so anything beyond
-                # it inside this attempt was pool queueing.
-                counter["pool_wait"] = counter.get("pool_wait", 0.0) + max(
-                    0.0, (time.perf_counter() - attempt_start) - payload["compute"]
-                )
+                if deadline is not None:
+                    # Hard timeout: dedicated killable worker (see
+                    # _run_killable). Its dedicated Pipe is torn down with
+                    # the process, so the result stays inline — shm
+                    # ownership could not be handed off safely across a
+                    # terminate().
+                    blob = _run_killable(step, inputs, deadline - time.perf_counter())
+                else:
+                    blob, payload = pool.call(
+                        step, inputs, tracer is not None and tracer.resources
+                    )
+                # Decoded once, for the returned results; the bytes go on
+                # to the cache and to every dependent as they are.
+                value = None if blob is None else _Encoded(_decode_artifact(blob), blob)
+                if payload is not None:
+                    # The worker measured its own compute, so anything
+                    # beyond it inside this attempt was pool queueing.
+                    counter["pool_wait"] = counter.get("pool_wait", 0.0) + max(
+                        0.0, (time.perf_counter() - attempt_start) - payload["compute"]
+                    )
             if value is None:
                 raise PipelineError(f"step {step.name!r} returned None")
             if deadline is not None and time.perf_counter() > deadline:
@@ -1226,24 +1292,29 @@ class Pipeline:
         step_sid: int | None,
     ) -> tuple[Any, str]:
         """Produce ``step``'s value; returns ``(value, outcome)`` with
-        ``outcome`` one of ``replayed``, ``cached``, ``ok``, ``retried``."""
+        ``outcome`` one of ``replayed``, ``cached``, ``ok``, ``retried``.
+
+        On the process path ``inputs`` are container bytes and the value
+        is an :class:`_Encoded`; a hit's bytes are the ones the cache read.
+        """
         key = run.keys[step.name]
+        encoded = run.pool is not None
+        info: dict[str, Any] = {}
         resume = run.resume
         if resume is not None and not run.force and resume.completed.get(step.name) == key:
             # The interrupted run journaled this exact artifact as done.
             # Serve it straight from the cache without attempting compute;
             # a vanished/corrupt artifact simply falls through to the
             # normal path below.
-            value = self.cache.peek(key)
+            value = self.cache.peek(key, info)
             if value is not None:
                 self.cache.hits += 1
-                return value, "replayed"
+                return (_Encoded(value, info["blob"]) if encoded else value), "replayed"
         fault_plan = run.fault_plan
         armed = fault_plan is not None and fault_plan.arm_enospc(
             self.cache, step.name, key,
             will_compute=run.force or self.cache.peek(key) is None,
         )
-        info: dict[str, Any] = {}
         value, cached = self.cache.get_or_compute(
             key,
             lambda: _attempt_loop(
@@ -1266,7 +1337,7 @@ class Pipeline:
             "stored", True
         )
         if cached:
-            return value, "cached"
+            return (_Encoded(value, info["blob"]) if encoded else value), "cached"
         return value, ("retried" if counter["attempts"] > 1 else "ok")
 
     def _run_step(
@@ -1340,6 +1411,10 @@ class Pipeline:
                 dependents[dep].append(step)
         results: dict[str, Any] = {}
         unavailable: set[str] = set()  # failed or skipped steps
+        # Process mode hands dependents container bytes, never values: a
+        # step's bytes stay here until its last dependent is resolved.
+        blobs: dict[str, bytes] = {}
+        unresolved = {name: len(steps) for name, steps in dependents.items()}
 
         # Thread mode computes inside the coordination threads, so the
         # coordination pool IS the worker pool; process mode uses cheap
@@ -1355,7 +1430,8 @@ class Pipeline:
                 inflight: dict[Future, PipelineStep] = {}
 
                 def submit(step: PipelineStep) -> None:
-                    inputs = {dep: results[dep] for dep in step.depends_on}
+                    source = results if run.pool is None else blobs
+                    inputs = {dep: source[dep] for dep in step.depends_on}
                     # A step is "ready" at submit time (all deps resolved);
                     # the gap to its task starting is coordination-pool
                     # queueing, charged to queue-wait.
@@ -1377,6 +1453,10 @@ class Pipeline:
                                 settled.append(step.name)
                             else:
                                 submit(step)
+                            for dep in step.depends_on:
+                                unresolved[dep] -= 1
+                                if not unresolved[dep]:
+                                    blobs.pop(dep, None)
 
                 for step in self.steps:
                     if indegree[step.name] == 0:
@@ -1386,7 +1466,12 @@ class Pipeline:
                     for fut in done:
                         step = inflight.pop(fut)
                         try:
-                            results[step.name] = fut.result()
+                            value = fut.result()
+                            if isinstance(value, _Encoded):
+                                if dependents[step.name]:
+                                    blobs[step.name] = value.blob
+                                value = value.value
+                            results[step.name] = value
                         except BaseException as exc:
                             if run.on_error == "raise" or not isinstance(exc, Exception):
                                 for other in inflight:

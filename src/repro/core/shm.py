@@ -1,15 +1,16 @@
 """Zero-copy result transport for process-pool workers.
 
-Large numpy-backed artifacts returned by process-mode steps would
-otherwise be serialized into the pool's pipe-based result channel,
-copied through the OS pipe buffer in 64KB chunks, and reassembled on
-the coordinator. This module moves those payloads through POSIX shared
-memory instead: the worker pickles the value once with protocol 5,
-keeps the array bodies as out-of-band :class:`pickle.PickleBuffer`
-frames, writes stream + frames into one ``multiprocessing.shared_memory``
-segment, and ships only a tiny *handle* (segment name + frame layout)
-through the pool channel. The coordinator attaches, rebuilds the value,
-and releases the segment.
+Large step results returned by process-mode workers would otherwise be
+copied through the pool's pipe-based result channel in 64KB chunks and
+reassembled on the coordinator. This module moves them through POSIX
+shared memory instead. It carries bytes and never serializes anything
+itself: the worker hands over a value already encoded as the cache's
+artifact container, as a list of byte-like *parts* (see
+``repro.core.pipeline._artifact_parts``), and :func:`encode_result`
+writes the parts one after another into one
+``multiprocessing.shared_memory`` segment, without joining them first.
+Only a tiny *handle* (segment name + byte count) crosses the pool
+channel. The coordinator copies the bytes out and releases the segment.
 
 Handle protocol and ownership rules
 -----------------------------------
@@ -18,8 +19,8 @@ Handle protocol and ownership rules
   segment is owned by whoever holds the handle.
 * The **coordinator** (the only consumer) attaches via the handle and
   is responsible for ``close()`` + ``unlink()`` — performed in
-  :func:`decode_result` under ``finally``, so a failed unpickle cannot
-  leak the segment.
+  :func:`decode_result` under ``finally``, so a failed read cannot leak
+  the segment.
 * If the handle never arrives (worker SIGKILLed mid-transfer, pool torn
   down), the segment is an orphan. Every segment name is prefixed with
   a per-run token (:func:`run_prefix`), and the run end calls
@@ -29,22 +30,18 @@ Handle protocol and ownership rules
 
 Fallbacks
 ---------
-Payloads whose out-of-band frames total less than ``SHM_MIN_BYTES``,
-payloads with no buffer-exporting objects at all (plain dicts, lists,
-dataclasses), and environments where segment creation fails (no
-``/dev/shm``, permissions, exhaustion) all fall back to an *inline*
-envelope carrying the pickle stream itself — never to a second
-serialization of the original object. Sequential and thread executors
-never touch this module: values stay in-process.
+Payloads below ``SHM_MIN_BYTES`` and environments where segment creation
+fails (no ``/dev/shm``, permissions, exhaustion) fall back to an
+*inline* envelope carrying the same bytes through the pool channel.
+Sequential and thread executors never touch this module: values stay
+in-process.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
-import struct
 import uuid
-from typing import Any
+from typing import Any, Sequence
 
 __all__ = [
     "SHM_MIN_BYTES",
@@ -55,7 +52,7 @@ __all__ = [
     "sweep_stale",
 ]
 
-# Frames below this total stay inline: a segment + handle round-trip
+# Payloads below this size stay inline: a segment + handle round-trip
 # costs two syscalls and a mmap, which only pays for itself on payloads
 # well past the pipe-chunking regime.
 SHM_MIN_BYTES = 1 << 20
@@ -76,53 +73,34 @@ def run_prefix() -> str:
     return f"{_PREFIX_BASE}-{os.getpid()}-{uuid.uuid4().hex[:8]}"
 
 
-def _dumps_oob(value: Any) -> tuple[bytes, list[pickle.PickleBuffer]]:
-    buffers: list[pickle.PickleBuffer] = []
-    stream = pickle.dumps(value, protocol=5, buffer_callback=buffers.append)
-    return stream, buffers
-
-
-def _loads_oob(stream: bytes, frames: list[bytearray]) -> Any:
-    # bytearray frames keep rehydrated arrays writable, matching what an
-    # in-band unpickle would have produced.
-    return pickle.loads(stream, buffers=frames)
-
-
 def encode_result(
-    value: Any, prefix: str, threshold: int | None = None
+    parts: Sequence[Any], prefix: str, threshold: int | None = None
 ) -> tuple[str, Any]:
-    """Worker-side: pickle ``value`` once and pick a transport.
+    """Worker-side: pick a transport for the bytes ``parts`` spell out.
 
-    Returns an envelope tuple — ``("shm", handle)`` where ``handle`` is
-    ``(name, pickle_len, frame_lens)``, or ``("inline", stream, frames)``
-    with the frames copied to bytes. The envelope itself is small and
-    crosses the pool's normal result channel.
+    Returns an envelope tuple — ``("shm", (name, nbytes))`` for a segment
+    named under ``prefix``, or ``("inline", data)`` with the parts joined
+    into one ``bytes``. The envelope itself is small and crosses the
+    pool's normal result channel.
     """
     from multiprocessing import shared_memory
 
     limit = SHM_MIN_BYTES if threshold is None else threshold
-    stream, buffers = _dumps_oob(value)
-    raws = [buf.raw() for buf in buffers]
-    total = len(stream) + sum(r.nbytes for r in raws)
-    if not raws or total < limit:
-        return (_INLINE, stream, tuple(bytes(r) for r in raws))
+    views = [memoryview(part).cast("B") for part in parts]
+    total = sum(view.nbytes for view in views)
+    if total < limit:
+        return (_INLINE, b"".join(views))
     name = f"{prefix}-{uuid.uuid4().hex[:8]}"
     try:
         seg = shared_memory.SharedMemory(name=name, create=True, size=total)
     except OSError:
         # No usable shm backend (or it is full): degrade to inline.
-        return (_INLINE, stream, tuple(bytes(r) for r in raws))
+        return (_INLINE, b"".join(views))
     try:
-        view = seg.buf
-        view[: len(stream)] = stream
-        offset = len(stream)
-        frame_lens = []
-        for raw in raws:
-            n = raw.nbytes
-            view[offset : offset + n] = raw  # raw() is already a flat "B" view
-            offset += n
-            frame_lens.append(n)
-        handle = (seg.name, len(stream), tuple(frame_lens))
+        offset = 0
+        for view in views:
+            seg.buf[offset : offset + view.nbytes] = view
+            offset += view.nbytes
     except BaseException:
         seg.close()
         try:
@@ -130,14 +108,11 @@ def encode_result(
         except OSError:
             pass
         raise
-    finally:
-        for buf in buffers:
-            buf.release()
     # Hand ownership to the handle holder: without this, the worker's
     # resource tracker would unlink the segment when the worker exits.
     _untrack(seg.name)
     seg.close()
-    return (_SEGMENT, handle)
+    return (_SEGMENT, (seg.name, total))
 
 
 def _untrack(name: str) -> None:
@@ -149,26 +124,18 @@ def _untrack(name: str) -> None:
         pass
 
 
-def decode_result(envelope: tuple[str, Any] | Any) -> Any:
-    """Coordinator-side: rebuild the value and release its segment."""
+def decode_result(envelope: tuple[str, Any] | Any) -> bytes:
+    """Coordinator-side: the envelope's bytes; releases its segment."""
     from multiprocessing import shared_memory
 
     if not (isinstance(envelope, tuple) and envelope and envelope[0] in (_INLINE, _SEGMENT)):
         raise ValueError("malformed shm transport envelope")
     if envelope[0] == _INLINE:
-        _, stream, frames = envelope
-        return _loads_oob(stream, [bytearray(f) for f in frames])
-    _, (name, pickle_len, frame_lens) = envelope
+        return envelope[1]
+    _, (name, nbytes) = envelope
     seg = shared_memory.SharedMemory(name=name)
     try:
-        view = seg.buf
-        stream = bytes(view[:pickle_len])
-        frames: list[bytearray] = []
-        offset = pickle_len
-        for n in frame_lens:
-            frames.append(bytearray(view[offset : offset + n]))
-            offset += n
-        return _loads_oob(stream, frames)
+        return bytes(seg.buf[:nbytes])
     finally:
         seg.close()
         try:

@@ -159,6 +159,45 @@ class TestFnIdentity:
 
         assert fingerprint_callable(fn) == fingerprint_callable(fn)
 
+    def test_fingerprint_independent_of_hash_seed(self):
+        # ``kind in {...}`` compiles to a frozenset constant, whose repr
+        # follows PYTHONHASHSEED. The key must not, or a durable cache
+        # never hits across interpreter runs.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        script = (
+            "from repro.core.pipeline import fingerprint_callable\n"
+            "def classify(kind):\n"
+            "    return 1 if kind in {'alpha', 'beta', 'gamma', 'delta'} else 0\n"
+            "assert any(isinstance(c, frozenset) for c in classify.__code__.co_consts)\n"
+            "print(fingerprint_callable(classify))\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        prints = set()
+        for seed in ("1", "2", "3", "4"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            done = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                check=True,
+            )
+            prints.add(done.stdout.strip())
+        assert len(prints) == 1
+
+    @pytest.mark.parametrize(
+        "const", [None, 1.5, "x", b"y", (), (1,), (1, ("a", (2.5, None))), (True, ...)]
+    )
+    def test_non_frozenset_constants_hash_as_their_repr(self, const):
+        # Existing cache keys do not move: only frozensets changed form.
+        from repro.core.pipeline import _const_repr
+
+        assert _const_repr(const) == repr(const)
+        assert _const_repr(frozenset({"b", "a"})) == "frozenset({'a', 'b'})"
+
 
 class TestCorruptCache:
     """Corrupt or truncated disk entries are misses, not crashes."""

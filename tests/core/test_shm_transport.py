@@ -1,10 +1,11 @@
 """Shared-memory result transport: edge cases and lifecycle guarantees.
 
 The zero-copy tentpole's failure contract: a worker SIGKILLed
-mid-transfer must not leak ``/dev/shm`` segments past run end, non-numpy
-payloads must ride the inline fallback (never a second serialization),
-and the sequential/thread executors must never touch the shm layer at
-all.
+mid-transfer must not leak ``/dev/shm`` segments past run end, small
+payloads must ride the inline fallback, the transport must carry the
+artifact container's bytes unchanged (it never serializes anything
+itself), and the sequential/thread executors must never touch the shm
+layer at all.
 """
 
 import multiprocessing
@@ -15,13 +16,26 @@ import numpy as np
 import pytest
 
 from repro.core import shm
-from repro.core.pipeline import ArtifactCache, Pipeline, PipelineStep
+from repro.core.pipeline import (
+    ArtifactCache,
+    Pipeline,
+    PipelineStep,
+    _artifact_parts,
+    _decode_artifact,
+    _encode_artifact,
+)
 
 mp = multiprocessing.get_context("fork")
 
 
 def segments(prefix):
     return [n for n in os.listdir("/dev/shm") if n.startswith(prefix)]
+
+
+def encode(value, prefix, threshold=None):
+    """What a pool worker does: the value's container parts, transported."""
+    with _artifact_parts(value) as parts:
+        return shm.encode_result(parts, prefix, threshold)
 
 
 requires_shm = pytest.mark.skipif(
@@ -33,27 +47,32 @@ class TestEnvelopes:
     def test_non_numpy_payload_falls_back_inline(self):
         prefix = shm.run_prefix()
         value = {"rows": [1, 2, 3], "label": "survey"}
-        envelope = shm.encode_result(value, prefix)
+        envelope = encode(value, prefix)
         assert envelope[0] == "inline"
-        assert shm.decode_result(envelope) == value
+        blob = shm.decode_result(envelope)
+        assert blob == _encode_artifact(value)
+        assert _decode_artifact(blob) == value
         assert not segments(prefix)
 
     def test_small_arrays_stay_inline(self):
         prefix = shm.run_prefix()
         value = np.arange(16, dtype=np.float64)
-        envelope = shm.encode_result(value, prefix)
+        envelope = encode(value, prefix)
         assert envelope[0] == "inline"
-        np.testing.assert_array_equal(shm.decode_result(envelope), value)
+        np.testing.assert_array_equal(_decode_artifact(shm.decode_result(envelope)), value)
         assert not segments(prefix)
 
     @requires_shm
     def test_large_arrays_ride_shared_memory(self):
         prefix = shm.run_prefix()
         value = {"telemetry": np.arange(300_000, dtype=np.float64)}
-        envelope = shm.encode_result(value, prefix)
+        envelope = encode(value, prefix)
         assert envelope[0] == "shm"
         assert segments(prefix)  # segment alive until the consumer decodes
-        decoded = shm.decode_result(envelope)
+        blob = shm.decode_result(envelope)
+        # The segment carried the container bytes unchanged.
+        assert blob == _encode_artifact(value)
+        decoded = _decode_artifact(blob)
         np.testing.assert_array_equal(decoded["telemetry"], value["telemetry"])
         # Rehydrated arrays are writable, like an in-band unpickle's.
         decoded["telemetry"][0] = -1.0
@@ -64,7 +83,7 @@ class TestEnvelopes:
     def test_threshold_is_tunable(self):
         prefix = shm.run_prefix()
         value = np.arange(64, dtype=np.float64)
-        envelope = shm.encode_result(value, prefix, threshold=8)
+        envelope = encode(value, prefix, threshold=8)
         try:
             assert envelope[0] == "shm"
         finally:
@@ -81,7 +100,7 @@ def _encode_then_die(prefix, ready):
     # Simulates a worker killed after publishing its segment but before
     # the coordinator consumed the handle: the envelope is lost, the
     # segment survives as an orphan.
-    shm.encode_result({"weights": np.ones(200_000)}, prefix)
+    encode({"weights": np.ones(200_000)}, prefix)
     ready.set()
     os.kill(os.getpid(), signal.SIGKILL)
 
