@@ -640,7 +640,8 @@ class PipelineStep:
         ``fn(context, **params) -> value`` where ``context`` maps this
         step's declared dependencies to their outputs. Dependencies must be
         declared: undeclared reads would race under parallel execution, so
-        the context contains exactly ``depends_on`` in every executor mode.
+        the context contains exactly ``depends_on``, in that order, in
+        every executor mode.
     params:
         Declarative parameters hashed into the cache key. Must be
         repr-stable (plain ints/floats/strings/tuples).

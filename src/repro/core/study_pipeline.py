@@ -50,12 +50,12 @@ def _schedule_step(context, seed, backfill):
     return result.table
 
 
-def _study_step(context):
+def _study_step(context, window_seconds):
     return Study(
         responses=context["survey"],
         telemetry=context["schedule"],
         cluster=DEFAULT_CLUSTER,
-        window_seconds=context["workload"]["window_seconds"],
+        window_seconds=window_seconds,
     )
 
 
@@ -77,6 +77,9 @@ def study_pipeline(
     Step/param layout is the cache contract: changing ``n_current`` reruns
     only the survey stage; changing ``backfill`` reruns only scheduling;
     changing ``months`` reruns workload + scheduling (its dependent).
+    ``study`` depends on ``survey`` and ``schedule`` and takes the
+    telemetry window as its ``window_seconds`` param, computed here from
+    the workload params, so it never decodes the workload's job list.
     ``drift`` names a declared :data:`~repro.synth.scenario.DRIFT_SCENARIOS`
     entry applied to the cohort profiles; it is a survey-step *param*, so a
     drifted run gets a new survey cache key (and, by key folding, new keys
@@ -87,6 +90,7 @@ def study_pipeline(
     invalidates existing artifacts.
     """
     survey_params = {"seed": seed, "n_baseline": n_baseline, "n_current": n_current}
+    workload = WorkloadParams(months=months, jobs_per_day=jobs_per_day, diurnal=diurnal)
     if drift:
         survey_params["drift"] = drift
     steps = [
@@ -114,7 +118,8 @@ def study_pipeline(
         PipelineStep(
             name="study",
             fn=_study_step,
-            depends_on=("survey", "workload", "schedule"),
+            params={"window_seconds": workload.window_seconds},
+            depends_on=("survey", "schedule"),
         ),
     ]
     return Pipeline(steps, cache, default_retry=retry, default_timeout=timeout)

@@ -1,8 +1,9 @@
 """The experiment registry: every table and figure, regenerable by id.
 
-Each experiment is a pure function ``Study -> Table | FigureSeries``. The
-registry powers the examples, the benchmark harness (one bench per entry),
-and EXPERIMENTS.md. Ids follow DESIGN.md: T1-T8 tables, F1-F8 figures.
+Each experiment is a pure function ``Study -> Table | FigureSeries`` that
+declares which study parts it reads (``Experiment.reads``). The registry
+powers the examples, the benchmark harness (one bench per entry), and
+EXPERIMENTS.md. Ids follow DESIGN.md: T1-T8 tables, F1-F8 figures.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -35,8 +36,9 @@ from repro.analysis.telemetry import (
     runtime_figure,
 )
 from repro.analysis.training import training_summary
+from repro.cluster.partitions import DEFAULT_CLUSTER
 from repro.core.metrics import ExecutorMetrics
-from repro.core.study import Study
+from repro.core.study import Study, study_parts
 from repro.core.trends import TrendRow
 from repro.report.figures import FigureSeries
 from repro.report.tables import Table, fmt_ci, fmt_p, fmt_pct, significance_stars
@@ -71,6 +73,11 @@ class Experiment:
         ``Study -> Table | FigureSeries``.
     description:
         One-line summary used in EXPERIMENTS.md.
+    reads:
+        The study parts ``fn`` reads: a non-empty subset of
+        ``("responses", "telemetry")``, kept in that order. The durable
+        pipelines hand ``fn`` a view carrying only these parts, and its
+        step depends only on the steps holding them.
     """
 
     id: str
@@ -78,6 +85,10 @@ class Experiment:
     kind: str
     fn: Callable[[Study], Artifact]
     description: str
+    reads: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "reads", study_parts(self.reads))
 
 
 def _trend_row_cells(row: TrendRow) -> tuple[str, ...]:
@@ -451,37 +462,53 @@ EXPERIMENTS: dict[str, Experiment] = {
     e.id: e
     for e in (
         Experiment("T1", "Respondent demographics", "table", t1_demographics,
-                   "Field and career-stage composition per cohort."),
+                   "Field and career-stage composition per cohort.",
+                   reads=("responses",)),
         Experiment("T2", "Language use", "table", t2_languages,
-                   "Multi-select language shares with Wilson CIs per cohort."),
+                   "Multi-select language shares with Wilson CIs per cohort.",
+                   reads=("responses",)),
         Experiment("F1", "Language trend", "figure", f1_language_trend,
-                   "2011-vs-2024 language shares, Holm-corrected."),
+                   "2011-vs-2024 language shares, Holm-corrected.",
+                   reads=("responses",)),
         Experiment("T3", "Parallelism modalities", "table", t3_parallelism,
-                   "Parallelism/cluster/GPU adoption plus per-modality trends."),
+                   "Parallelism/cluster/GPU adoption plus per-modality trends.",
+                   reads=("responses",)),
         Experiment("F2", "GPU adoption by field", "figure", f2_gpu_by_field,
-                   "Per-field GPU adoption in the 2024 cohort."),
+                   "Per-field GPU adoption in the 2024 cohort.",
+                   reads=("responses",)),
         Experiment("T4", "ML frameworks", "table", t4_ml_frameworks,
-                   "ML adoption trend and framework shares among ML users."),
+                   "ML adoption trend and framework shares among ML users.",
+                   reads=("responses",)),
         Experiment("T5", "Queue waits", "table", t5_queue_wait,
-                   "Queue-wait statistics per partition and width class."),
+                   "Queue-wait statistics per partition and width class.",
+                   reads=("telemetry",)),
         Experiment("T6", "Engineering practices", "table", t6_practices,
-                   "VCS/testing/CI/container adoption trends."),
+                   "VCS/testing/CI/container adoption trends.",
+                   reads=("responses",)),
         Experiment("T7", "Training background", "table", t7_training,
-                   "How respondents learned to program; expertise comparison."),
+                   "How respondents learned to program; expertise comparison.",
+                   reads=("responses",)),
         Experiment("T8", "Data scale", "table", t8_storage,
-                   "Ordinal data-scale distribution shift between cohorts."),
+                   "Ordinal data-scale distribution shift between cohorts.",
+                   reads=("responses",)),
         Experiment("F3", "CPU-hours by field", "figure", f3_cpu_hours,
-                   "Monthly CPU-hours per field over the telemetry window."),
+                   "Monthly CPU-hours per field over the telemetry window.",
+                   reads=("telemetry",)),
         Experiment("F4", "Job width CDF", "figure", f4_job_width_cdf,
-                   "Width distributions for CPU vs GPU jobs."),
+                   "Width distributions for CPU vs GPU jobs.",
+                   reads=("telemetry",)),
         Experiment("F5", "GPU-hours growth", "figure", f5_gpu_growth,
-                   "Monthly GPU-hours with fitted exponential growth."),
+                   "Monthly GPU-hours with fitted exponential growth.",
+                   reads=("telemetry",)),
         Experiment("F6", "Tool co-mention network", "table", f6_tool_network,
-                   "Strongest tool co-mentions and communities (rendered as a table)."),
+                   "Strongest tool co-mentions and communities (rendered as a table).",
+                   reads=("responses",)),
         Experiment("F7", "Runtime distributions", "figure", f7_runtime_dist,
-                   "Log-runtime histograms by field."),
+                   "Log-runtime histograms by field.",
+                   reads=("telemetry",)),
         Experiment("F8", "Survey-telemetry concordance", "figure", f8_concordance,
-                   "Reported GPU use vs measured GPU-hours, by field."),
+                   "Reported GPU use vs measured GPU-hours, by field.",
+                   reads=("responses", "telemetry")),
     )
 }
 
@@ -652,8 +679,13 @@ def run_all_experiments(
 # -- the durable report pipeline ----------------------------------------------
 
 
-def _experiment_step(context, experiment_id, fn_fingerprint=""):
+def _experiment_step(context, experiment_id, fn_fingerprint="", **values):
     """Pipeline-step wrapper around one registry entry.
+
+    ``context`` holds one input per part the experiment reads, in
+    ``Experiment.reads`` order (the order :func:`_experiment_steps`
+    declares them in), and ``values`` carries those parts' params; the
+    experiment runs on a :meth:`Study.view` of exactly that.
 
     ``fn_fingerprint`` exists purely for the cache key: the wrapper is the
     same function for every experiment, so the underlying experiment
@@ -664,7 +696,54 @@ def _experiment_step(context, experiment_id, fn_fingerprint=""):
         # Extension experiments register on import; core ids must not
         # trigger the import (mirrors the CLI, which only knows T*/F*).
         import repro.report.extensions  # noqa: F401
-    return EXPERIMENTS[experiment_id].fn(context["study"])
+    experiment = EXPERIMENTS[experiment_id]
+    parts = dict(zip(experiment.reads, context.values()))
+    study = Study.view(experiment.reads, cluster=DEFAULT_CLUSTER, **parts, **values)
+    return experiment.fn(study)
+
+
+def _experiment_steps(
+    experiment_ids: Sequence[str] | None,
+    inputs: Mapping[str, str],
+    *,
+    window_seconds: float,
+    baseline_cohort: str = "2011",
+    current_cohort: str = "2024",
+):
+    """One ``exp:<id>`` step per experiment, wired to what it reads.
+
+    ``inputs`` names the step holding each study part. A step depends
+    only on the input steps of its experiment's ``reads``, and its params
+    carry only those parts' values (cohort labels for ``responses``,
+    ``window_seconds`` for ``telemetry``), so an edit to one part leaves
+    the keys of experiments reading only the other untouched.
+    ``experiment_ids=None`` means every registered id, in sorted order.
+    """
+    from repro.core.pipeline import PipelineStep, fingerprint_callable
+
+    ids = sorted(EXPERIMENTS) if experiment_ids is None else list(experiment_ids)
+    unknown = [eid for eid in ids if eid not in EXPERIMENTS]
+    if unknown:
+        raise KeyError(f"unknown experiments {unknown}; known: {sorted(EXPERIMENTS)}")
+    values = {
+        "responses": {"baseline_cohort": baseline_cohort, "current_cohort": current_cohort},
+        "telemetry": {"window_seconds": float(window_seconds)},
+    }
+    steps = []
+    for eid in ids:
+        experiment = EXPERIMENTS[eid]
+        params = {"experiment_id": eid, "fn_fingerprint": fingerprint_callable(experiment.fn)}
+        for part in experiment.reads:
+            params.update(values[part])
+        steps.append(
+            PipelineStep(
+                name=f"exp:{eid}",
+                fn=_experiment_step,
+                params=params,
+                depends_on=tuple(inputs[part] for part in experiment.reads),
+            )
+        )
+    return steps
 
 
 def report_pipeline(
@@ -678,31 +757,24 @@ def report_pipeline(
     """Build the full durable report pipeline: study stages + experiments.
 
     Extends :func:`repro.core.study_pipeline.study_pipeline` with one
-    ``exp:<id>`` step per registered experiment (``depends_on=
-    ("study",)``), so ``repro report --durable`` can run the entire report
-    as a journaled, cache-addressed DAG and ``--resume`` can recover it
-    after a crash: completed experiments replay from the cache, only the
-    in-flight frontier re-executes.
+    ``exp:<id>`` step per registered experiment, so ``repro report
+    --durable`` can run the entire report as a journaled, cache-addressed
+    DAG and ``--resume`` can recover it after a crash: completed
+    experiments replay from the cache, only the in-flight frontier
+    re-executes. Each experiment step depends only on the stage holding
+    the parts it reads — ``survey`` for responses, ``schedule`` for
+    telemetry — so editing ``n_current`` reruns the survey's experiments
+    while the telemetry ones stay cached. The ``study`` step still runs
+    (the rendered report reads it) but no experiment depends on it.
     """
-    from repro.core.pipeline import Pipeline, PipelineStep, fingerprint_callable
+    from repro.core.pipeline import Pipeline
     from repro.core.study_pipeline import study_pipeline
 
     base = study_pipeline(cache=cache, retry=retry, timeout=timeout, **study_kwargs)
-    ids = sorted(EXPERIMENTS) if experiment_ids is None else list(experiment_ids)
-    unknown = [eid for eid in ids if eid not in EXPERIMENTS]
-    if unknown:
-        raise KeyError(f"unknown experiments {unknown}; known: {sorted(EXPERIMENTS)}")
-    steps = list(base.steps)
-    for eid in ids:
-        steps.append(
-            PipelineStep(
-                name=f"exp:{eid}",
-                fn=_experiment_step,
-                params={
-                    "experiment_id": eid,
-                    "fn_fingerprint": fingerprint_callable(EXPERIMENTS[eid].fn),
-                },
-                depends_on=("study",),
-            )
-        )
+    study = next(step for step in base.steps if step.name == "study")
+    steps = list(base.steps) + _experiment_steps(
+        experiment_ids,
+        {"responses": "survey", "telemetry": "schedule"},
+        window_seconds=study.params["window_seconds"],
+    )
     return Pipeline(steps, base.cache, default_retry=retry, default_timeout=timeout)

@@ -363,25 +363,35 @@ def x10_cohort_balance(study: Study) -> Table:
 
 _EXTENSIONS = (
     Experiment("X1", "Wait vs load", "figure", x1_wait_vs_load,
-               "Queueing curve: monthly median wait against offered load."),
+               "Queueing curve: monthly median wait against offered load.",
+               reads=("telemetry",)),
     Experiment("X2", "Panel adoption", "table", x2_panel_adoption,
-               "Within-person adoption among panel respondents (McNemar)."),
+               "Within-person adoption among panel respondents (McNemar).",
+               reads=("responses",)),
     Experiment("X3", "Weighted vs raw", "table", x3_weighted_vs_raw,
-               "Post-stratified vs raw headline estimates."),
+               "Post-stratified vs raw headline estimates.",
+               reads=("responses",)),
     Experiment("X4", "Submission rhythm", "figure", x4_arrival_rhythm,
-               "Hour-of-day / day-of-week submission profiles."),
+               "Hour-of-day / day-of-week submission profiles.",
+               reads=("telemetry",)),
     Experiment("X5", "Walltime accuracy", "table", x5_walltime_accuracy,
-               "Requested-vs-actual runtime accuracy."),
+               "Requested-vs-actual runtime accuracy.",
+               reads=("telemetry",)),
     Experiment("X6", "Work environment", "table", x6_work_environment,
-               "OS, editors, weekly hours, training, open-source trends."),
+               "OS, editors, weekly hours, training, open-source trends.",
+               reads=("responses",)),
     Experiment("X7", "Challenge topics", "table", x7_challenge_topics,
-               "Coded biggest-challenge topics per cohort."),
+               "Coded biggest-challenge topics per cohort.",
+               reads=("responses",)),
     Experiment("X8", "Waste and failures", "table", x8_waste_and_failures,
-               "Wasted core-hours and failure rates by partition."),
+               "Wasted core-hours and failure rates by partition.",
+               reads=("telemetry",)),
     Experiment("X9", "Capacity outlook", "table", x9_capacity_outlook,
-               "GPU saturation projection from fitted demand growth."),
+               "GPU saturation projection from fitted demand growth.",
+               reads=("telemetry",)),
     Experiment("X10", "Cohort balance", "table", x10_cohort_balance,
-               "Standardized demographic differences between waves."),
+               "Standardized demographic differences between waves.",
+               reads=("responses",)),
 )
 
 

@@ -1,15 +1,22 @@
-"""The incremental serve pipeline: WAL feeds → study → experiments.
+"""The incremental serve pipeline: WAL feeds → study and experiments.
 
 Mirrors :func:`repro.report.experiments.report_pipeline`, but the study's
 inputs come from the service's ingest WAL instead of the synthetic
 generators. The dirtiness mechanism is entirely in the params: each feed
 step carries its WAL *chunk token* (``"<rows>:<digest>"``, see
 :meth:`repro.serve.wal.IngestWAL.chunk`), so the content-addressed cache
-keys fold the ingested bytes in. Appending response rows changes only the
-``responses`` chunk → new keys for ``responses`` → ``study`` → every
-``exp:*``; the ``telemetry`` step's key is untouched and replays from
-cache. That is the whole incremental-recompute story — no new cache
-machinery, just input hashing where params already live.
+keys fold the ingested bytes in. Each ``exp:*`` step depends only on the
+feed steps holding the study parts its experiment reads
+(``Experiment.reads``), and ``study`` on both. Appending response rows
+changes only the ``responses`` chunk → new keys for ``responses``,
+``study`` and the experiments that read responses; a sacct append
+reruns ``telemetry``, ``study`` and the telemetry readers. With the 26
+registered experiments that is 18 and 13 of 29 steps; the other feed's
+step and experiments replay from cache. That is the whole
+incremental-recompute story — no new cache machinery, just input
+hashing where params already live. Likewise a survey that fails
+validation fails ``study`` and the responses readers with
+``StudyError``, while the telemetry-only experiments still refresh.
 
 Step functions materialize their rows through
 :func:`repro.serve.wal.snapshot_rows`, which re-reads the log and
@@ -31,10 +38,10 @@ from typing import Mapping, Sequence
 from repro.cluster.partitions import DEFAULT_CLUSTER
 from repro.cluster.sacct import _HEADER, parse_sacct
 from repro.core.instrument import build_instrument
-from repro.core.pipeline import ArtifactCache, Pipeline, PipelineStep, RetryPolicy, fingerprint_callable
+from repro.core.pipeline import ArtifactCache, Pipeline, PipelineStep, RetryPolicy
 from repro.core.study import Study
 from repro.io.jsonl import read_responses_jsonl
-from repro.report.experiments import EXPERIMENTS, _experiment_step
+from repro.report.experiments import _experiment_steps
 from repro.serve.wal import snapshot_rows
 
 __all__ = ["serve_pipeline", "INGEST_STEPS"]
@@ -87,7 +94,7 @@ def serve_pipeline(
     retry: RetryPolicy | None = None,
     timeout: float | None = None,
 ) -> Pipeline:
-    """Build the cached ingest→study→experiments DAG for one refresh.
+    """Build the cached ingest→study/experiments DAG for one refresh.
 
     ``chunks`` maps WAL kind (``"responses"``/``"sacct"``) to the chunk
     token each feed step should pin — normally the WAL's current frontier,
@@ -98,11 +105,6 @@ def serve_pipeline(
     stay out of cache keys, as everywhere else.
     """
     wal = str(wal_dir)
-    ids = sorted(EXPERIMENTS) if experiment_ids is None else list(experiment_ids)
-    unknown = [eid for eid in ids if eid not in EXPERIMENTS]
-    if unknown:
-        raise KeyError(f"unknown experiments {unknown}; known: {sorted(EXPERIMENTS)}")
-    excluded = set(exclude)
     steps = [
         PipelineStep(
             name="responses",
@@ -125,19 +127,13 @@ def serve_pipeline(
             depends_on=("responses", "telemetry"),
         ),
     ]
-    for eid in ids:
-        name = f"exp:{eid}"
-        if name in excluded:
-            continue
-        steps.append(
-            PipelineStep(
-                name=name,
-                fn=_experiment_step,
-                params={
-                    "experiment_id": eid,
-                    "fn_fingerprint": fingerprint_callable(EXPERIMENTS[eid].fn),
-                },
-                depends_on=("study",),
-            )
-        )
+    experiments = _experiment_steps(
+        experiment_ids,
+        {"responses": "responses", "telemetry": "telemetry"},
+        window_seconds=window_seconds,
+        baseline_cohort=baseline_cohort,
+        current_cohort=current_cohort,
+    )
+    excluded = set(exclude)
+    steps.extend(step for step in experiments if step.name not in excluded)
     return Pipeline(steps, cache, default_retry=retry, default_timeout=timeout)

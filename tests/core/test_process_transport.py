@@ -184,7 +184,7 @@ SIZE = {"seed": 5, "months": 3, "jobs_per_day": 50.0, "n_baseline": 60, "n_curre
 
 
 def test_cache_bytes_agree_across_executors(tmp_path):
-    """Cold, then ``n_current + 1``: 58 entries per executor, byte-equal.
+    """Cold, then ``n_current + 1``: 48 entries per executor, byte-equal.
 
     ``study`` is compared by structural digest: its pickle memo depends on
     whether survey and schedule reached it as separately decoded objects.
@@ -204,7 +204,7 @@ def test_cache_bytes_agree_across_executors(tmp_path):
         for n in (SIZE["n_current"], SIZE["n_current"] + 1)
     }
     reference = stores["sequential"]
-    assert len(reference) == 58
+    assert len(reference) == 48
     for executor in ("thread", "process"):
         entries = stores[executor]
         assert entries.keys() == reference.keys(), executor

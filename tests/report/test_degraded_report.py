@@ -28,7 +28,10 @@ def broken_t8(monkeypatch):
     monkeypatch.setitem(
         EXPERIMENTS,
         "T8",
-        Experiment("T8", original.title, original.kind, _broken, original.description),
+        Experiment(
+            "T8", original.title, original.kind, _broken, original.description,
+            original.reads,
+        ),
     )
     return original
 

@@ -61,7 +61,7 @@ class TestIncremental:
         assert statuses["telemetry"] in ("cached", "replayed")
         assert statuses["responses"] == "ok"
         assert statuses["study"] == "ok"
-        assert statuses["exp:X1"] == "ok"
+        assert statuses["exp:X1"] == "cached"
         svc.close()
 
     def test_appended_sacct_leaves_responses_cached(self, tmp_path, study_lines):
