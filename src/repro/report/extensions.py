@@ -8,6 +8,8 @@ same registry as T1-T8/F1-F8 and get the same per-experiment benches.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.analysis.balance import cohort_balance
@@ -24,6 +26,7 @@ from repro.core.weighting import WeightedTrendEngine
 from repro.report.experiments import EXPERIMENTS, Experiment
 from repro.report.figures import FigureSeries
 from repro.report.tables import Table, fmt_p, fmt_pct, significance_stars
+from repro.survey.schema import Questionnaire
 
 __all__ = ["register_extensions"]
 
@@ -53,6 +56,19 @@ _PANEL_SIZE = 150
 
 
 def _panel_for(study: Study):
+    # The panel depends on nothing but the instrument, so it is memoized
+    # by the questionnaire's content, not its identity: serve builds a
+    # fresh, equal one every cycle.
+    questionnaire = study.responses.questionnaire
+    return _panel(
+        questionnaire.name,
+        questionnaire.questions,
+        tuple(sorted(questionnaire.skip_logic.items())),
+    )
+
+
+@functools.lru_cache(maxsize=4)
+def _panel(name: str, questions: tuple, skip_logic: tuple):
     # The panel is an auxiliary synthesized sample (the real study links
     # repeat respondents by email hash); seeded independently of the study
     # so panel size changes never perturb the main cohorts.
@@ -61,7 +77,7 @@ def _panel_for(study: Study):
     return generate_panel(
         profile_2011(),
         profile_2024(),
-        study.responses.questionnaire,
+        Questionnaire(name, questions, skip_logic=dict(skip_logic)),
         _PANEL_SIZE,
         np.random.default_rng(20112024),
     )

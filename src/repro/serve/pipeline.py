@@ -19,10 +19,12 @@ validation fails ``study`` and the responses readers with
 ``StudyError``, while the telemetry-only experiments still refresh.
 
 Step functions materialize their rows through
-:func:`repro.serve.wal.snapshot_rows`, which re-reads the log and
-verifies the digest — a step can never observe rows appended after its
-key was computed, so artifacts are pure functions of (chunk, params) and
-restart-after-crash converges to the byte-identical clean rebuild.
+:func:`repro.serve.wal.snapshot_rows`, which catches this process's
+follower of the log up to the bytes appended since its last call (a full
+replay only when in doubt) and verifies the digest — a step can never
+observe rows appended after its key was computed, so artifacts are pure
+functions of (chunk, params) and restart-after-crash converges to the
+byte-identical clean rebuild.
 
 Poison-row tolerance: both feed steps parse with ``on_bad_rows="skip"``
 (the PR-4 tolerant readers), so a malformed ingested row costs a

@@ -32,6 +32,20 @@ first N rows its chunk names (never rows appended after the key was
 computed) and verifies the digest, so a cached artifact can never have
 been built from different bytes than its key claims.
 
+The read side follows the log instead of re-reading it. An
+:class:`IngestWAL` remembers, per segment, its inode and the byte offset
+just past the last complete record it absorbed, and one replay routine
+serves both an open (every segment from offset 0) and a catch-up (only
+the bytes appended since). :func:`snapshot_rows` keeps one read-only
+follower per directory per process and catches it up, so a refresh reads
+the rows it was sent, not the whole history. Any doubt — a consumed
+segment gone, replaced or shorter than its offset, a token naming rows the
+follower lacks, a digest mismatch — costs one fresh full replay, and only
+a disagreement there is an error. Bytes already read that are overwritten
+in place at the same size are therefore noticed by the next full replay
+(a restart), not the next refresh; the rows returned still match the
+token's digest.
+
 Failure containment mirrors the journal: any ``OSError`` on the write
 path (``ENOSPC`` above all) disables the WAL and raises
 :class:`WALUnavailable`; the service degrades to read-only serving
@@ -46,7 +60,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import Callable
 
@@ -103,6 +120,11 @@ def _segments(directory: Path) -> list[Path]:
         return []
 
 
+def _feed_bytes(rows: list[str]) -> bytes:
+    """What a feed's digest covers: each row and a newline, UTF-8."""
+    return "".join(row + "\n" for row in rows).encode("utf-8")
+
+
 def _parse_segment(
     raw: bytes,
 ) -> tuple[list[dict], int, int]:
@@ -145,7 +167,8 @@ class IngestWAL:
     Single-writer: exactly one live service process owns the directory.
     Opening replays every segment to rebuild the accepted-row state
     (counts, running digests, batch offsets) and heals a torn tail left by
-    a SIGKILLed predecessor.
+    a SIGKILLed predecessor. A read-only open creates and heals nothing;
+    it raises :class:`WALError` when the directory does not exist.
     """
 
     def __init__(
@@ -172,7 +195,15 @@ class IngestWAL:
         self._seg_index = 0
         self._size = 0
         self._fd: int | None = None
-        self.directory.mkdir(parents=True, exist_ok=True)
+        # Per absorbed segment, in order: [name, inode, offset just past
+        # its last complete record]. Only a follower's catch-up reads it;
+        # a writer's own appends move its state instead.
+        self._consumed: list[list] = []
+        if read_only:
+            if not self.directory.is_dir():
+                raise WALError(f"no WAL directory at {self.directory}")
+        else:
+            self.directory.mkdir(parents=True, exist_ok=True)
         self._replay(heal=not read_only)
         if not read_only:
             try:
@@ -194,7 +225,7 @@ class IngestWAL:
             self.poison_lines += 1
             return
         self._rows[kind].append(row)
-        self._digests[kind].update(row.encode("utf-8") + b"\n")
+        self._digests[kind].update(_feed_bytes([row]))
         self._seq = max(self._seq, seq + 1)
         batch = record.get("batch")
         if isinstance(batch, str):
@@ -203,13 +234,38 @@ class IngestWAL:
             key = (kind, batch)
             self._batches[key] = max(self._batches.get(key, 0), off + 1)
 
-    def _replay(self, heal: bool) -> None:
+    def _replay(self, heal: bool) -> bool:
+        """Absorb every complete record past the consumed offsets.
+
+        An open has consumed nothing, so it reads every segment from 0;
+        a follower's catch-up reads only the bytes appended since its last
+        call. A record is absorbed once its newline lands. Returns False,
+        with the state no longer trustworthy, when the log is not an
+        extension of what was consumed: a consumed segment is gone, has a
+        new inode, or is shorter than its offset.
+        """
         segments = _segments(self.directory)
+        consumed = self._consumed
+        n_known = len(consumed)
+        if [s.name for s in segments[:n_known]] != [c[0] for c in consumed]:
+            return False
         for n, segment in enumerate(segments):
+            known = consumed[n] if n < n_known else None
+            start = known[2] if known else 0
             try:
-                raw = segment.read_bytes()
+                with open(segment, "rb") as fh:
+                    st = os.fstat(fh.fileno())
+                    if known and (st.st_ino != known[1] or st.st_size < start):
+                        return False
+                    fh.seek(start)
+                    raw = fh.read()
             except OSError:
+                if known:
+                    return False
                 continue
+            if not known:
+                known = [segment.name, st.st_ino, 0]
+                consumed.append(known)
             records, good_len, bad = _parse_segment(raw)
             torn_tail = good_len < len(raw)
             # Only the newest segment can carry a torn tail from the
@@ -217,7 +273,7 @@ class IngestWAL:
             # not a crash artifact.
             if torn_tail and heal and n == len(segments) - 1:
                 try:
-                    os.truncate(segment, good_len)
+                    os.truncate(segment, start + good_len)
                     self.healed_bytes += len(raw) - good_len
                 except OSError:
                     bad += 1
@@ -226,11 +282,13 @@ class IngestWAL:
             self.poison_lines += max(bad - (1 if torn_tail else 0), 0)
             for record in records:
                 self._absorb(record)
+            known[2] = start + good_len
         if segments:
             last = segments[-1].name
             self._seg_index = int(
                 last[len(SEGMENT_PREFIX):-len(SEGMENT_SUFFIX)]
             )
+        return True
 
     # -- writing --------------------------------------------------------------
 
@@ -287,13 +345,14 @@ class IngestWAL:
         if batch is not None:
             start = min(self._batches.get((kind, batch), 0), len(clean))
         fresh = clean[start:]
-        first_seq = last_seq = -1
-        accepted = 0
         # The envelope is assembled by hand: only the row (and batch id)
-        # can contain characters needing JSON escaping, so one dumps()
-        # per row beats serializing the whole record dict ~4x on the
-        # ingest hot path. Replay reads it back with a plain loads().
-        batch_json = None if batch is None else json.dumps(batch)
+        # can contain characters needing JSON escaping, and the C string
+        # encoder gives json.dumps()'s bytes for a str without its
+        # per-call overhead. Replay reads it back with a plain loads().
+        batch_json = None if batch is None else _json_str(batch)
+        first_seq = seq = self._seq
+        accepted: list[str] = []
+        next_off = start
         # Group commit: records accumulate here and hit the fd in one
         # write per call. The chaos seam and segment rotation both need
         # the fd caught up to the record boundary, so they drain first.
@@ -305,13 +364,13 @@ class IngestWAL:
                     os.write(self._fd, bytes(pending))
                     del pending[:]
 
-            for i, row in enumerate(fresh):
+            for i, row in enumerate(fresh, start):
                 if batch_json is None:
-                    text = f'{{"seq":{self._seq},"kind":"{kind}","row":{json.dumps(row)}}}\n'
+                    text = f'{{"seq":{seq},"kind":"{kind}","row":{_json_str(row)}}}\n'
                 else:
                     text = (
-                        f'{{"seq":{self._seq},"kind":"{kind}","row":{json.dumps(row)},'
-                        f'"batch":{batch_json},"off":{start + i}}}\n'
+                        f'{{"seq":{seq},"kind":"{kind}","row":{_json_str(row)},'
+                        f'"batch":{batch_json},"off":{i}}}\n'
                     )
                 data = text.encode()
                 if self._size > 0 and self._size + len(data) > self.rotate_bytes:
@@ -326,27 +385,30 @@ class IngestWAL:
                 else:
                     pending += data
                 self._size += len(data)
-                if first_seq < 0:
-                    first_seq = self._seq
-                last_seq = self._seq
-                self._seq += 1
-                accepted += 1
-                self._rows[kind].append(row)
-                self._digests[kind].update(row.encode("utf-8") + b"\n")
-                if batch is not None:
-                    self._batches[(kind, batch)] = start + i + 1
+                seq += 1
+                accepted.append(row)
+                next_off = i + 1
             _drain()
             if self.do_fsync and accepted:
                 os.fsync(self._fd)
         except OSError as exc:
             self._disable(exc)
             raise WALUnavailable(f"ingest WAL write failed: {exc!r}") from exc
+        finally:
+            # Fold the rows handed to the log into memory once, even when
+            # the batch failed part-way (see the docstring).
+            if accepted:
+                self._seq = seq
+                self._rows[kind].extend(accepted)
+                self._digests[kind].update(_feed_bytes(accepted))
+                if batch is not None:
+                    self._batches[(kind, batch)] = next_off
         return IngestReceipt(
             kind=kind,
-            accepted=accepted,
+            accepted=len(accepted),
             deduped=start,
-            first_seq=first_seq,
-            last_seq=last_seq,
+            first_seq=first_seq if accepted else -1,
+            last_seq=seq - 1 if accepted else -1,
         )
 
     # -- the read side --------------------------------------------------------
@@ -444,29 +506,71 @@ def parse_chunk(chunk: str) -> tuple[int, str]:
     return count, digest
 
 
+#: Read-only followers by absolute WAL directory, least recently used
+#: first; at most ``_MAX_FOLLOWERS`` of them, all behind one lock.
+_FOLLOWERS: OrderedDict[str, IngestWAL] = OrderedDict()
+_FOLLOWERS_LOCK = threading.Lock()
+_MAX_FOLLOWERS = 4
+
+
+def _forget_followers() -> None:
+    # A forked child inherits the parent's followers mid-anything: another
+    # thread may have held the lock at the fork. Start over instead.
+    global _FOLLOWERS, _FOLLOWERS_LOCK
+    _FOLLOWERS = OrderedDict()
+    _FOLLOWERS_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_followers)
+
+
+def _named_rows(wal: IngestWAL, kind: str, count: int, digest: str) -> list[str] | None:
+    """The first ``count`` rows of ``kind`` if they hash to ``digest``."""
+    rows = wal._rows[kind]
+    if count > len(rows):
+        return None
+    if count == len(rows):
+        h = wal._digests[kind]
+    else:
+        h = hashlib.sha256(_feed_bytes(rows[:count]))
+    return rows[:count] if h.hexdigest()[: len(digest)] == digest else None
+
+
 def snapshot_rows(directory: str | Path, kind: str, chunk: str) -> list[str]:
     """Materialize exactly the rows a chunk token names, verified.
 
-    Re-opens the WAL read-only (no healing writes — safe from pipeline
-    workers while the owning service lives), takes the first N accepted
-    rows of ``kind``, and checks their digest against the token. A
-    mismatch means the log no longer contains the bytes the cache key was
-    computed from (truncation, corruption, a foreign directory) and is an
-    error, never a silent wrong answer.
+    Reads through this process's read-only follower of the WAL (no
+    healing writes — safe from pipeline workers while the owning service
+    lives), caught up to the bytes appended since its last call, takes the
+    first N accepted rows of ``kind``, and checks their digest against the
+    token. A follower in doubt is replaced by a fresh full replay; if that
+    also disagrees, the log no longer contains the bytes the cache key was
+    computed from (truncation, corruption, a foreign directory) and it is
+    an error, never a silent wrong answer.
     """
     count, digest = parse_chunk(chunk)
-    wal = IngestWAL(directory, read_only=True)
-    rows = wal.rows(kind, count)
-    if len(rows) < count:
+    if kind not in KINDS:
+        raise WALError(f"unknown ingest kind {kind!r}; expected one of {KINDS}")
+    path = os.path.abspath(directory)
+    with _FOLLOWERS_LOCK:
+        follower = _FOLLOWERS.pop(path, None)
+        rows = None
+        if follower is not None and follower._replay(heal=False):
+            rows = _named_rows(follower, kind, count, digest)
+        if rows is None:
+            follower = IngestWAL(path, read_only=True)
+            rows = _named_rows(follower, kind, count, digest)
+        _FOLLOWERS[path] = follower
+        while len(_FOLLOWERS) > _MAX_FOLLOWERS:
+            _FOLLOWERS.popitem(last=False)
+        held = len(follower._rows[kind])
+    if rows is not None:
+        return rows
+    if held < count:
         raise WALError(
-            f"WAL {directory} holds {len(rows)} {kind} row(s); chunk names {count}"
+            f"WAL {directory} holds {held} {kind} row(s); chunk names {count}"
         )
-    h = hashlib.sha256()
-    for row in rows:
-        h.update(row.encode("utf-8") + b"\n")
-    if h.hexdigest()[: len(digest)] != digest:
-        raise WALError(
-            f"WAL {directory} {kind} rows do not match chunk {chunk!r} "
-            "(log truncated or rewritten since the key was computed)"
-        )
-    return rows
+    raise WALError(
+        f"WAL {directory} {kind} rows do not match chunk {chunk!r} "
+        "(log truncated or rewritten since the key was computed)"
+    )

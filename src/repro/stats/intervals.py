@@ -8,6 +8,7 @@ the survey produces, where the Wald interval badly undercovers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -73,7 +74,10 @@ def _validate(successes: int, trials: int, confidence: float) -> None:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
 
 
+@functools.lru_cache(maxsize=16)
 def _z_value(confidence: float) -> float:
+    # SciPy's ppf costs ~75 us a call and every interval asks for it;
+    # studies use a handful of confidence levels.
     return float(_sps.norm.ppf(0.5 + confidence / 2.0))
 
 

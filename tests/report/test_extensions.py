@@ -1,5 +1,7 @@
 """Tests for extension experiments X1-X5."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,48 @@ class TestX2Panel:
         a = run_experiment("X2", study)
         b = run_experiment("X2", study)
         assert a.rows == b.rows
+
+
+class TestX2PanelMemo:
+    @staticmethod
+    def _holder(questionnaire):
+        return SimpleNamespace(responses=SimpleNamespace(questionnaire=questionnaire))
+
+    def test_cold_and_warm_memo_render_identically(self, study):
+        from repro.audit.digests import render_artifact
+        from repro.report.extensions import _panel
+
+        _panel.cache_clear()
+        cold = render_artifact(run_experiment("X2", study))
+        assert _panel.cache_info().misses == 1
+        warm = render_artifact(run_experiment("X2", study))
+        assert _panel.cache_info().hits == 1
+        assert cold == warm
+
+    def test_equal_instruments_share_one_panel(self):
+        from repro.core.instrument import build_instrument
+        from repro.report.extensions import _panel, _panel_for
+
+        _panel.cache_clear()
+        first, second = build_instrument(), build_instrument()
+        assert first is not second
+        assert _panel_for(self._holder(first)) is _panel_for(self._holder(second))
+        assert _panel.cache_info().misses == 1
+
+    def test_different_content_gets_its_own_panel(self):
+        from repro.core.instrument import build_instrument
+        from repro.report.extensions import _panel, _panel_for
+        from repro.survey.schema import Questionnaire
+
+        _panel.cache_clear()
+        base = build_instrument()
+        renamed = Questionnaire(
+            "another-instrument", base.questions, base.sections, base.skip_logic
+        )
+        ungated = Questionnaire(base.name, base.questions, base.sections, {})
+        panels = [_panel_for(self._holder(q)) for q in (base, renamed, ungated)]
+        assert len({id(p) for p in panels}) == 3
+        assert panels[1].wave_a.questionnaire.name == "another-instrument"
 
 
 class TestX3WeightedVsRaw:

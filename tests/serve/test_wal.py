@@ -1,5 +1,6 @@
 """Unit tests for the durable ingest WAL (append, dedupe, heal, rotate)."""
 
+import hashlib
 import json
 
 import pytest
@@ -198,6 +199,95 @@ class TestDegradation:
         with pytest.raises(WALUnavailable):
             ro.append("responses", ["x"])
         ro.close()
+
+
+class TestSegmentBytes:
+    """The on-disk format is a contract: replay, dedupe and chunk tokens of
+    logs written by earlier versions depend on these exact bytes."""
+
+    @staticmethod
+    def _scripted(directory):
+        rotate = 64 << 10  # three segments
+        wide = [f'{{"id": {i}, "pad": "{"x" * (i % 97)}"}}' for i in range(1200)]
+        odd = ["naïve|Zürich|日本", "nul\x00byte|\x00", 'quote "q" \\ back', "tab\there\u2028ls"]
+        with IngestWAL(directory, rotate_bytes=rotate) as wal:
+            wal.append("responses", wide[:300], batch='b"1')
+            wal.append("sacct", odd, batch="s\\1")
+            wal.append("responses", wide[:350], batch='b"1')  # resend: 50 new
+            wal.append("responses", ["a\r\n", "", "   ", "b\n", "c\r", "\r\n"])
+            wal.append("sacct", odd + ["\x00"], batch="ü-batch")
+            wal.append("responses", wide[350:900], batch="big")
+            wal.append("sacct", [w + "é" for w in wide[:200]], batch="s\\1")
+        with IngestWAL(directory, rotate_bytes=rotate) as wal:  # a restart
+            wal.append("responses", wide[350:1200], batch="big")
+            wal.append("sacct", odd, batch="ü-batch")  # all deduped
+            wal.append("sacct", odd)
+            return {kind: wal.chunk(kind) for kind in ("responses", "sacct")}
+
+    def test_scripted_sequence_writes_pinned_bytes(self, tmp_path):
+        chunks = self._scripted(tmp_path)
+        segments = {
+            seg.name: (len(raw := seg.read_bytes()), hashlib.sha256(raw).hexdigest())
+            for seg in sorted(tmp_path.glob("seg-*.wal"))
+        }
+        assert segments == {
+            "seg-00000001.wal": (
+                65461,
+                "74fbcbd294b44ad5ea373f4b446ab460ca8dbd91b6245064870c80ec69a914df",
+            ),
+            "seg-00000002.wal": (
+                65448,
+                "e4b7814276c53e6400368c9ffcdacbae3a349d8afe45aedc627a361ec50d3872",
+            ),
+            "seg-00000003.wal": (
+                65369,
+                "cb9b71b1ec4f3b2e20b8e5b27f1cbdc5e3232206b9af70156d9bb17e402f25c4",
+            ),
+        }
+        assert chunks == {"responses": "1203:ea1adfcc3a356b10", "sacct": "209:c8f9057239fcc507"}
+
+    def test_failed_batch_keeps_the_rows_handed_to_the_log(self, tmp_path):
+        calls = []
+
+        def chaos(kind, data, fd):
+            calls.append(data)
+            if len(calls) == 3:
+                raise OSError(28, "injected: no space left on device")
+            return False
+
+        with IngestWAL(tmp_path / "failed") as wal:
+            wal.append("responses", ROWS[:2], batch="b0")
+            wal.chaos = chaos
+            with pytest.raises(WALUnavailable):
+                wal.append("responses", ROWS[2:], batch="b1")
+            # The two records written before the failure stay in memory;
+            # the failed one and everything after it never happened.
+            assert wal.rows("responses") == ROWS[:4]
+            assert wal.stats()["next_seq"] == 4
+            assert wal._batches[("responses", "b1")] == 2
+            chunk = wal.chunk("responses")
+        with IngestWAL(tmp_path / "clean") as clean:
+            clean.append("responses", ROWS[:4])
+            assert clean.chunk("responses") == chunk
+        with IngestWAL(tmp_path / "failed") as reopened:
+            assert reopened.rows("responses") == ROWS[:4]
+            assert reopened.append("responses", ROWS[2:], batch="b1").deduped == 2
+
+
+class TestReadOnlyOpen:
+    def test_missing_directory_is_an_error_and_is_not_created(self, tmp_path):
+        missing = tmp_path / "no-such-wal"
+        with pytest.raises(WALError, match="no-such-wal"):
+            IngestWAL(missing, read_only=True)
+        with pytest.raises(WALError, match="no-such-wal"):
+            snapshot_rows(missing, "responses", "0:e3b0c44298fc1c14")
+        assert not missing.exists()
+
+    def test_unknown_kind_touches_nothing(self, tmp_path):
+        missing = tmp_path / "no-such-wal"
+        with pytest.raises(WALError, match="kind"):
+            snapshot_rows(missing, "telemetry", "0:e3b0c44298fc1c14")
+        assert not missing.exists()
 
 
 class TestStats:

@@ -132,3 +132,26 @@ def test_property_clopper_pearson_coverage_is_exactish(trials, data):
     ci = clopper_pearson_interval(s, trials)
     assert ci.contains(s / trials)
     assert not math.isnan(ci.low) and not math.isnan(ci.high)
+
+
+class TestZValue:
+    @pytest.mark.parametrize("confidence", [0.5, 0.8, 0.9, 0.95, 0.99, 0.999])
+    def test_equals_the_normal_quantile(self, confidence):
+        from scipy.stats import norm
+
+        from repro.stats.intervals import _z_value
+
+        expected = float(norm.ppf(0.5 + confidence / 2))
+        assert _z_value(confidence) == expected
+        assert _z_value(confidence) == expected  # the cached answer too
+
+    def test_cached_per_confidence_level(self):
+        from repro.stats.intervals import _z_value
+
+        _z_value.cache_clear()
+        for _ in range(5):
+            wilson_interval(3, 10, 0.95)
+            wald_interval(3, 10, 0.9)
+        info = _z_value.cache_info()
+        assert (info.misses, info.hits) == (2, 8)
+        assert info.maxsize is not None  # bounded
