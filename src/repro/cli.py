@@ -354,95 +354,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--check",
         type=Path,
         default=None,
-        help="baseline trajectory file; exit 1 if the scheduler regresses",
-    )
-    ben.add_argument(
-        "--max-regression",
-        type=float,
-        default=0.25,
-        help="allowed slowdown vs baseline before --check fails (0.25 = +25%%)",
-    )
-    ben.add_argument(
-        "--max-retry-overhead",
-        type=float,
-        default=0.02,
         help=(
-            "allowed fault-free cost of the retry/timeout wrapper before "
-            "--check fails (0.02 = +2%%; intra-record, no baseline needed)"
-        ),
-    )
-    ben.add_argument(
-        "--max-journal-overhead",
-        type=float,
-        default=0.02,
-        help=(
-            "allowed cost of the journal + cross-process-locking wrapper "
-            "before --check fails (0.02 = +2%%; intra-record, no baseline "
-            "needed)"
-        ),
-    )
-    ben.add_argument(
-        "--max-trace-overhead",
-        type=float,
-        default=0.03,
-        help=(
-            "allowed cost of running the pipeline with tracing enabled "
-            "before --check fails (0.03 = +3%%; intra-record, no baseline "
-            "needed — the untraced side of the same bench is the "
-            "tracing-disabled path)"
-        ),
-    )
-    ben.add_argument(
-        "--max-audit-overhead",
-        type=float,
-        default=0.05,
-        help=(
-            "allowed cost of the audit harness over a plain double "
-            "pipeline run before --check fails (0.05 = +5%%; intra-record, "
-            "no baseline needed)"
-        ),
-    )
-    ben.add_argument(
-        "--max-dist-overhead",
-        type=float,
-        default=0.25,
-        help=(
-            "allowed per-step overhead in seconds of the dist backend over "
-            "a sequential run of the same DAG before --check fails "
-            "(absolute, not a ratio: fleet spawn cost is fixed, so tiny "
-            "steps would always fail a ratio gate; intra-record, no "
-            "baseline needed)"
-        ),
-    )
-    ben.add_argument(
-        "--max-serve-overhead",
-        type=float,
-        default=0.10,
-        help=(
-            "allowed durability cost of WAL ingestion, as a fraction of "
-            "the cold serve refresh the ingest unlocks, before --check "
-            "fails (0.10 = +10%%; intra-record, no baseline needed)"
-        ),
-    )
-    ben.add_argument(
-        "--max-metrics-overhead",
-        type=float,
-        default=0.03,
-        help=(
-            "allowed cost of the serve metrics plane (registry + SLO + "
-            "ring) over a metrics-disabled serve cycle before --check "
-            "fails (0.03 = +3%%; intra-record, no baseline needed)"
-        ),
-    )
-    ben.add_argument(
-        "--max-serve-p99",
-        type=float,
-        default=0.5,
-        metavar="SECONDS",
-        help=(
-            "allowed p99 admission-to-answer latency in the serve_latency "
-            "bench before --check fails (absolute: under load shedding "
-            "every answer must stay on the warm fast path)"
+            "committed trajectory file: gate the fresh record against every "
+            "applicable row of the gate table (repro.core.bench.GATES) — "
+            "with --scale-sweep, also the file's latest committed sweep "
+            "record; exit 1 if any row fails"
         ),
     )
     ben.add_argument(
@@ -451,42 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "run the 1x/10x/100x job-volume scale sweep (simulate + "
             "analysis wall and peak RSS per point) instead of the "
-            "standard benchmark battery; the fresh record is always "
-            "gated against the exponent limits (intra-record, no "
-            "baseline needed)"
+            "standard benchmark battery"
         ),
     )
     ben.add_argument(
         "--sweep-factors",
         default=None,
         help="comma-separated job-volume multipliers (default per scale: full=1,10,100 quick=1,10)",
-    )
-    ben.add_argument(
-        "--check-scale-sweep",
-        type=Path,
-        default=None,
-        metavar="BENCH_JSON",
-        help=(
-            "gate scale-sweep complexity: check the fitted scaling "
-            "exponents of the latest committed sweep record in this "
-            "trajectory file (and of the fresh sweep when --scale-sweep "
-            "also ran); exit 1 on failure"
-        ),
-    )
-    ben.add_argument(
-        "--max-scale-exponent",
-        type=float,
-        default=1.35,
-        help=(
-            "allowed fitted wall-time scaling exponent for "
-            "--check-scale-sweep (1.0 = linear, 2.0 = quadratic)"
-        ),
-    )
-    ben.add_argument(
-        "--max-rss-exponent",
-        type=float,
-        default=1.2,
-        help="allowed fitted peak-RSS scaling exponent for --check-scale-sweep",
     )
 
     wkr = command(
@@ -1145,17 +1032,10 @@ def _cmd_trace(args, out) -> int:
 
 def _cmd_bench(args, out) -> int:
     from repro.core.bench import (
+        GATES,
         append_run,
-        check_audit_overhead,
-        check_dist_overhead,
-        check_journal_overhead,
-        check_metrics_overhead,
-        check_regression,
-        check_retry_overhead,
-        check_scale_sweep,
-        check_serve_latency,
-        check_serve_overhead,
-        check_trace_overhead,
+        evaluate_gate,
+        load_runs,
         render_record,
         render_scale_sweep,
         run_benchmarks,
@@ -1165,95 +1045,6 @@ def _cmd_bench(args, out) -> int:
     if args.repeats is not None and args.repeats < 1:
         print(f"error: --repeats must be >= 1, got {args.repeats}", file=out)
         return 2
-    if args.scale_sweep or args.check_scale_sweep is not None:
-        return _bench_scale_sweep(
-            args,
-            out,
-            append_run=append_run,
-            check_scale_sweep=check_scale_sweep,
-            render_scale_sweep=render_scale_sweep,
-            run_scale_sweep=run_scale_sweep,
-        )
-    record = run_benchmarks(
-        scale=args.scale,
-        label=args.label,
-        repeats=args.repeats,
-        end_to_end=not args.no_end_to_end,
-    )
-    print(render_record(record), file=out)
-    if args.json is not None:
-        append_run(args.json, record)
-        print(f"appended run to {args.json}", file=out)
-    if args.check is not None:
-        try:
-            ok, message = check_regression(
-                record, args.check, max_regression=args.max_regression
-            )
-            overhead_ok, overhead_message = check_retry_overhead(
-                record, max_overhead=args.max_retry_overhead
-            )
-            journal_ok, journal_message = check_journal_overhead(
-                record, max_overhead=args.max_journal_overhead
-            )
-            trace_ok, trace_message = check_trace_overhead(
-                record, max_overhead=args.max_trace_overhead
-            )
-            audit_ok, audit_message = check_audit_overhead(
-                record, max_overhead=args.max_audit_overhead
-            )
-            dist_ok, dist_message = check_dist_overhead(
-                record, max_overhead=args.max_dist_overhead
-            )
-            serve_ok, serve_message = check_serve_overhead(
-                record, max_overhead=args.max_serve_overhead
-            )
-            metrics_ok, metrics_message = check_metrics_overhead(
-                record, max_overhead=args.max_metrics_overhead
-            )
-            latency_ok, latency_message = check_serve_latency(
-                record, max_p99=args.max_serve_p99
-            )
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=out)
-            return 2
-        print(("ok: " if ok else "REGRESSION: ") + message, file=out)
-        print(
-            ("ok: " if overhead_ok else "REGRESSION: ") + overhead_message, file=out
-        )
-        print(
-            ("ok: " if journal_ok else "REGRESSION: ") + journal_message, file=out
-        )
-        print(("ok: " if trace_ok else "REGRESSION: ") + trace_message, file=out)
-        print(("ok: " if audit_ok else "REGRESSION: ") + audit_message, file=out)
-        print(("ok: " if dist_ok else "REGRESSION: ") + dist_message, file=out)
-        print(("ok: " if serve_ok else "REGRESSION: ") + serve_message, file=out)
-        print(("ok: " if metrics_ok else "REGRESSION: ") + metrics_message, file=out)
-        print(("ok: " if latency_ok else "REGRESSION: ") + latency_message, file=out)
-        return (
-            0
-            if ok
-            and overhead_ok
-            and journal_ok
-            and trace_ok
-            and audit_ok
-            and dist_ok
-            and serve_ok
-            and metrics_ok
-            and latency_ok
-            else 1
-        )
-    return 0
-
-
-def _bench_scale_sweep(
-    args, out, *, append_run, check_scale_sweep, render_scale_sweep, run_scale_sweep
-) -> int:
-    """The ``bench --scale-sweep`` / ``--check-scale-sweep`` sub-path.
-
-    Runs the job-volume sweep when requested, then gates the fitted
-    scaling exponents of the fresh record and/or of the latest committed
-    sweep record in the trajectory file named by ``--check-scale-sweep``.
-    """
     factors = None
     if args.sweep_factors is not None:
         try:
@@ -1267,8 +1058,16 @@ def _bench_scale_sweep(
                 file=out,
             )
             return 2
+    # Read the gate's trajectory before timing anything: a bad file is a
+    # usage error, not a verdict after minutes of benchmarks.
+    runs = None
+    if args.check is not None:
+        try:
+            runs = load_runs(args.check)
+        except (OSError, ValueError) as exc:
+            print(f"error: --check: {exc}", file=out)
+            return 2
 
-    to_gate: list[tuple[str, dict]] = []
     if args.scale_sweep:
         try:
             record = run_scale_sweep(
@@ -1281,47 +1080,38 @@ def _bench_scale_sweep(
             print(f"error: {exc}", file=out)
             return 2
         print(render_scale_sweep(record), file=out)
-        if args.json is not None:
-            append_run(args.json, record)
-            print(f"appended run to {args.json}", file=out)
-        to_gate.append(("fresh sweep", record))
+    else:
+        record = run_benchmarks(
+            scale=args.scale,
+            label=args.label,
+            repeats=args.repeats,
+            end_to_end=not args.no_end_to_end,
+        )
+        print(render_record(record), file=out)
+    if args.json is not None:
+        append_run(args.json, record)
+        print(f"appended run to {args.json}", file=out)
+    if runs is None:
+        return 0
 
-    if args.check_scale_sweep is not None:
-        committed = _latest_sweep_record(args.check_scale_sweep)
-        if committed is None:
-            if not args.scale_sweep:
-                print(
-                    f"error: no scale-sweep record in {args.check_scale_sweep}",
-                    file=out,
-                )
-                return 2
-        else:
-            to_gate.append((f"committed ({args.check_scale_sweep})", committed))
-
+    to_gate = [("", record)]
+    if args.scale_sweep:
+        # Re-check the committed sweep too, so a regressive sweep record
+        # cannot be committed silently.
+        committed = next(
+            (r for r in reversed(runs) if "scale_sweep" in r.get("benchmarks", {})),
+            None,
+        )
+        if committed is not None:
+            to_gate.append((f"committed ({args.check}): ", committed))
     all_ok = True
     for origin, rec in to_gate:
-        ok, message = check_scale_sweep(
-            rec,
-            max_exponent=args.max_scale_exponent,
-            max_rss_exponent=args.max_rss_exponent,
-        )
-        all_ok = all_ok and ok
-        print(("ok: " if ok else "REGRESSION: ") + f"{origin}: {message}", file=out)
+        for gate in GATES:
+            if gate.benchmark in rec.get("benchmarks", {}):
+                ok, message = evaluate_gate(gate, rec, runs)
+                all_ok = all_ok and ok
+                print(("ok: " if ok else "REGRESSION: ") + origin + message, file=out)
     return 0 if all_ok else 1
-
-
-def _latest_sweep_record(path) -> dict | None:
-    """Newest record in a bench trajectory file that carries sweep points."""
-    from repro.core.bench import load_runs
-
-    try:
-        runs = load_runs(path)
-    except (OSError, ValueError):
-        return None
-    for record in reversed(runs):
-        if "scale_sweep" in record.get("benchmarks", {}):
-            return record
-    return None
 
 
 def _cmd_robustness(args, out) -> int:

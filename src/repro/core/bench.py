@@ -17,25 +17,36 @@ Timed units (the substrates that dominate a reproduction run):
 * ``retry_overhead``    — the scheduler simulation run through a pipeline
   *with* retry+timeout configured vs a plain pipeline, both fault-free.
   Both variants pay identical cache-pickling costs, so the pair isolates
-  the fault-tolerance wrapper itself; :func:`check_retry_overhead` gates
-  it at < 2% in CI.
+  the fault-tolerance wrapper itself.
 * ``journal_overhead``  — the same simulation run through a *durable*
   pipeline (run journal + cross-process entry locking on a disk cache) vs
   an identical disk-cache pipeline with both switched off. The
   differential isolates the crash-safety wrapper (journal records +
-  advisory ``flock`` per computed step); :func:`check_journal_overhead`
-  gates it at < 2% in CI.
+  advisory ``flock`` per computed step).
 * ``trace_overhead``    — the same simulation run through a *traced*
   pipeline (``trace=True``: root/step/attempt spans + cache instants) vs
   an identical untraced one. The untraced run IS the tracing-disabled
   path, so the differential proves disabling tracing costs nothing and
-  prices what enabling it adds; :func:`check_trace_overhead` gates it at
-  < 3% in CI.
+  prices what enabling it adds.
 * ``audit_overhead``    — a minimal two-leg reproducibility audit
   (baseline + identical sequential rerun) vs a plain double run of the
   same pipeline. The differential prices the audit harness itself —
-  sandboxes, journaling, tracing, the digest walk, concordance assembly;
-  :func:`check_audit_overhead` gates it at < 5% in CI.
+  sandboxes, journaling, tracing, the digest walk, concordance assembly.
+* ``dist_overhead``     — a 5-step diamond DAG of trivial steps on the
+  fleet backend vs a sequential run, priced in seconds per step.
+* ``serve_ingest_overhead`` — appending both feeds through the durable
+  ingest WAL vs a plain flat-file append, as a fraction of one cold
+  serve refresh over the same rows.
+* ``metrics_overhead``  — the serve observability plane's per-request and
+  per-publish instrumentation, timed directly, as a fraction of one
+  serve cycle.
+* ``serve_latency``     — request p50/p95/p99 from 4 concurrent client
+  threads against a dirty service under deadline shedding.
+
+Each of these eight records the value it prices in its ``detail``.
+:data:`GATES` is the one table of limits — on those values, on
+``simulate_schedule`` against the committed trajectory, and on the scale
+sweep's fitted exponents — and :func:`evaluate_gate` checks one row.
 
 Every unit is a pure function of a fixed seed, so run-to-run variance is
 scheduler noise only; ``min`` of ``repeats`` runs is the recorded number.
@@ -63,7 +74,7 @@ import platform
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -78,22 +89,14 @@ __all__ = [
     "latest_run",
     "record_scale_factor",
     "fit_scaling_exponent",
-    "check_regression",
-    "check_retry_overhead",
-    "check_journal_overhead",
-    "check_trace_overhead",
-    "check_audit_overhead",
-    "check_dist_overhead",
-    "check_serve_overhead",
-    "check_scale_sweep",
+    "Gate",
+    "GATES",
+    "evaluate_gate",
     "render_record",
     "render_scale_sweep",
 ]
 
 SCHEMA_VERSION = 1
-
-#: Benchmark name the CI regression gate watches (the scheduler hot path).
-GATE_BENCHMARK = "simulate_schedule"
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,6 +188,24 @@ def _machine_metadata() -> dict:
     }
 
 
+def _per_call(fn: Callable[[], object], calls: int = 200) -> float:
+    """Seconds per call of ``fn``: min over 3 blocks of the mean over ``calls``.
+
+    The tiny-step estimator behind the differential benches: the wrappers
+    they price cost microseconds per call, below what one timed call can
+    resolve, so each block averages many calls and the min of three blocks
+    drops blocks a scheduler hiccup landed in.
+    """
+
+    def block() -> float:
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            fn()
+        return (time.perf_counter() - t0) / calls
+
+    return min(block() for _ in range(3))
+
+
 def _bench_retry_overhead(jobs, k: int) -> dict:
     """Time ``simulate_schedule`` through a plain vs fault-tolerant pipeline.
 
@@ -192,7 +213,7 @@ def _bench_retry_overhead(jobs, k: int) -> dict:
     every repeat recomputes and republishes through the identical cache
     path); the only difference is the retry/timeout wrapper around each
     attempt. ``detail["overhead"]`` is the fractional slowdown the wrapper
-    adds — the number :func:`check_retry_overhead` gates.
+    adds — the number the ``retry_overhead`` row of :data:`GATES` limits.
     """
     from repro.cluster import simulate_schedule
     from repro.core.pipeline import ArtifactCache, Pipeline, PipelineStep, RetryPolicy
@@ -229,18 +250,9 @@ def _bench_retry_overhead(jobs, k: int) -> dict:
 
     plain_tiny = Pipeline([PipelineStep("tiny", tiny)], ArtifactCache())
     tolerant_tiny = fault_tolerant([PipelineStep("tiny", tiny)])
-    iters = 200
-
-    def per_run(pipeline) -> float:
-        def block() -> float:
-            t0 = time.perf_counter()
-            for _ in range(iters):
-                pipeline.run(force=True, executor="sequential")
-            return (time.perf_counter() - t0) / iters
-
-        return min(block() for _ in range(3))
-
-    wrapper_seconds = per_run(tolerant_tiny) - per_run(plain_tiny)
+    wrapper_seconds = _per_call(
+        lambda: tolerant_tiny.run(force=True, executor="sequential")
+    ) - _per_call(lambda: plain_tiny.run(force=True, executor="sequential"))
     overhead = (
         wrapper_seconds / plain_t["seconds"] if plain_t["seconds"] > 0 else 0.0
     )
@@ -266,7 +278,8 @@ def _bench_journal_overhead(jobs, k: int) -> dict:
     pickle + fsync publish cost, so the differential tiny-step estimator
     isolates exactly the crash-safety wrapper. ``detail["overhead"]`` is
     that per-run wrapper cost as a fraction of the plain (in-memory)
-    simulation time — the number :func:`check_journal_overhead` gates.
+    simulation time — the number the ``journal_overhead`` row of
+    :data:`GATES` limits.
     """
     import tempfile
 
@@ -331,42 +344,26 @@ def _bench_journal_overhead(jobs, k: int) -> dict:
         )
         base_tiny.run(executor="sequential")  # warm: one publish each,
         durable_tiny.run(executor="sequential")  # outside the timed loops
-        iters = 200
 
-        def per_run_base() -> float:
-            def block() -> float:
-                t0 = time.perf_counter()
-                for _ in range(iters):
-                    base_tiny.run(executor="sequential")
-                return (time.perf_counter() - t0) / iters
+        def durable_run() -> None:
+            with RunJournal.open(journal_dir) as journal:
+                durable_tiny.run(executor="sequential", journal=journal)
 
-            return min(block() for _ in range(3))
-
-        def per_run_durable() -> float:
-            def block() -> float:
-                t0 = time.perf_counter()
-                for _ in range(iters):
-                    with RunJournal.open(journal_dir) as journal:
-                        durable_tiny.run(executor="sequential", journal=journal)
-                return (time.perf_counter() - t0) / iters
-
-            return min(block() for _ in range(3))
-
-        journal_seconds = max(0.0, per_run_durable() - per_run_base())
+        journal_seconds = max(
+            0.0,
+            _per_call(durable_run)
+            - _per_call(lambda: base_tiny.run(executor="sequential")),
+        )
 
         lock = FileLock(tmp / "probe.lock")
         with lock:
             pass  # warm: create the lock file, record the pid
-        cycles = 500
 
-        def lock_block() -> float:
-            t0 = time.perf_counter()
-            for _ in range(cycles):
-                lock.acquire()
-                lock.release()
-            return (time.perf_counter() - t0) / cycles
+        def lock_cycle() -> None:
+            lock.acquire()
+            lock.release()
 
-        lock_seconds = min(lock_block() for _ in range(3))
+        lock_seconds = _per_call(lock_cycle, calls=500)
         wrapper_seconds = journal_seconds + lock_seconds
     overhead = (
         wrapper_seconds / plain_t["seconds"] if plain_t["seconds"] > 0 else 0.0
@@ -398,8 +395,8 @@ def _bench_trace_overhead(jobs, k: int) -> dict:
     As with the retry/journal gates, the wrapper costs microseconds
     against a tens-of-ms simulation, so it is measured differentially on a
     trivial step and normalized by the plain simulation time;
-    ``detail["overhead"]`` is that fraction, gated by
-    :func:`check_trace_overhead` at < 3% in CI.
+    ``detail["overhead"]`` is that fraction, limited by the
+    ``trace_overhead`` row of :data:`GATES`.
     """
     from repro.cluster import simulate_schedule
     from repro.core.pipeline import ArtifactCache, Pipeline, PipelineStep
@@ -423,18 +420,9 @@ def _bench_trace_overhead(jobs, k: int) -> dict:
 
     plain_tiny = Pipeline([PipelineStep("tiny", tiny)], ArtifactCache())
     traced_tiny = Pipeline([PipelineStep("tiny", tiny)], ArtifactCache())
-    iters = 200
-
-    def per_run(pipeline, **run_kwargs) -> float:
-        def block() -> float:
-            t0 = time.perf_counter()
-            for _ in range(iters):
-                pipeline.run(force=True, executor="sequential", **run_kwargs)
-            return (time.perf_counter() - t0) / iters
-
-        return min(block() for _ in range(3))
-
-    wrapper_seconds = per_run(traced_tiny, trace=True) - per_run(plain_tiny)
+    wrapper_seconds = _per_call(
+        lambda: traced_tiny.run(force=True, executor="sequential", trace=True)
+    ) - _per_call(lambda: plain_tiny.run(force=True, executor="sequential"))
     overhead = (
         wrapper_seconds / plain_t["seconds"] if plain_t["seconds"] > 0 else 0.0
     )
@@ -458,7 +446,8 @@ def _bench_audit_overhead(sc: "BenchScale", k: int) -> dict:
     the digest walk, and concordance assembly. A plain double run of the
     same pipeline is therefore the natural baseline, and
     ``detail["overhead"]`` is the fractional cost of auditing over merely
-    re-running — the number :func:`check_audit_overhead` gates at < 5%.
+    re-running — the number the ``audit_overhead`` row of :data:`GATES`
+    limits.
 
     One experiment (T1) rides along so the audit covers an ``exp:`` step
     (text digests) as well as the study stages (structural digests)
@@ -530,7 +519,8 @@ def _bench_dist_overhead(k: int) -> dict:
     ``(dist_wall - seq_wall) / steps`` — rather than as a ratio: the
     fleet-spawn cost is fixed, so any ratio against near-zero step
     compute would diverge as steps shrink and say nothing about real
-    runs. :func:`check_dist_overhead` gates ``detail["overhead_per_step"]``.
+    runs. The ``dist_overhead`` row of :data:`GATES` limits
+    ``detail["overhead_per_step"]``.
     """
     import tempfile
 
@@ -594,32 +584,22 @@ def _bench_serve_ingest_overhead(sc: "BenchScale", k: int) -> dict:
     the same export lines would skip. That durability cost only matters
     relative to the recompute one ingest unlocks, so
     ``detail["overhead"]`` is the *extra* ingest seconds as a fraction of
-    one cold serve refresh over the same rows — the number
-    :func:`check_serve_overhead` gates at < 10%.
+    one cold serve refresh over the same rows — the number the
+    ``serve_ingest_overhead`` row of :data:`GATES` limits.
     """
-    import io
     import tempfile
 
-    from repro.cluster import write_sacct
-    from repro.core import build_default_study
     from repro.core.pipeline import ArtifactCache
-    from repro.io import write_responses_jsonl
     from repro.serve.pipeline import serve_pipeline
     from repro.serve.wal import IngestWAL
 
-    study = build_default_study(
+    responses, sacct = _serve_study_lines(
         seed=2024,
-        n_baseline=min(sc.cohort_n, 120),
-        n_current=sc.cohort_n,
-        months=3,  # the registry's F5 growth figure needs >= 3 months
+        cohort_n=sc.cohort_n,
         jobs_per_day=min(sc.jobs_per_day, 60.0),
+        months=3,  # the registry's F5 growth figure needs >= 3 months
     )
-    buf = io.StringIO()
-    write_responses_jsonl(study.responses, buf)
-    responses = buf.getvalue().splitlines()
-    buf = io.StringIO()
-    write_sacct(study.telemetry, buf)
-    sacct = buf.getvalue().splitlines()[1:]  # WAL rows carry data, not the header
+    sacct = sacct[1:]  # WAL rows carry data, not the header
     n_rows = len(responses) + len(sacct)
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-serve-") as tmpname:
@@ -688,7 +668,7 @@ def _bench_serve_ingest_overhead(sc: "BenchScale", k: int) -> dict:
 
 
 def _serve_study_lines(
-    seed: int, *, cohort_n: int = 10, jobs_per_day: float = 2.0
+    seed: int, *, cohort_n: int = 10, jobs_per_day: float = 2.0, months: int = 1
 ) -> tuple[list[str], list[str]]:
     """(response JSONL lines, sacct lines incl. header) for a small study."""
     import io
@@ -701,7 +681,7 @@ def _serve_study_lines(
         seed=seed,
         n_baseline=min(cohort_n, 120),
         n_current=cohort_n,
-        months=1,
+        months=months,
         jobs_per_day=jobs_per_day,
     )
     buf = io.StringIO()
@@ -724,8 +704,8 @@ def _bench_metrics_overhead(sc: "BenchScale", k: int) -> dict:
     (forced refresh + request burst). A subtractive with/without wall
     clock cannot resolve this: the signal is sub-millisecond while a
     refresh carries ms-scale I/O jitter, so the differential would be
-    gate noise, not measurement. :func:`check_metrics_overhead` gates the
-    fraction at < 3% — the same always-on argument as the trace gate.
+    gate noise, not measurement. The ``metrics_overhead`` row of
+    :data:`GATES` limits the fraction.
     """
     import tempfile
 
@@ -807,9 +787,9 @@ def _bench_serve_latency(sc: "BenchScale", k: int) -> dict:
     from the last-good artifact via deadline shedding (a recompute the
     client will not wait for never starts). p50/p95/p99 come from the
     service's own ``repro_request_seconds`` histogram — the numbers the
-    SLO policy would judge — and :func:`check_serve_latency` gates the
-    p99 absolutely: under load shedding there is no slow path left to
-    hide in.
+    SLO policy would judge — and the ``serve_latency`` row of
+    :data:`GATES` limits the p99 absolutely: under load shedding there is
+    no slow path left to hide in.
     """
     import tempfile
     import threading
@@ -1055,7 +1035,8 @@ def run_scale_sweep(
     reflects that point. The record's ``detail`` carries one entry per
     point with an explicit ``scale_factor`` plus fitted scaling exponents
     (:func:`fit_scaling_exponent`) for simulate, analysis, total, and RSS
-    — the numbers :func:`check_scale_sweep` gates.
+    — the ``scale_sweep`` rows of :data:`GATES` limit the total and RSS
+    exponents.
     """
     from repro.cluster import WorkloadModel, WorkloadParams, simulate_schedule
     from repro.cluster.usage import (
@@ -1159,11 +1140,21 @@ def run_scale_sweep(
 
 
 def load_runs(path: Path | str) -> list[dict]:
-    """All run records in a ``BENCH_*.json`` file (oldest first)."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(data, dict) or "runs" not in data:
-        raise ValueError(f"{path}: not a benchmark trajectory file")
-    return list(data["runs"])
+    """All run records in a ``BENCH_*.json`` file (oldest first).
+
+    Raises ``ValueError`` naming ``path`` unless the file is JSON whose
+    ``runs`` is a list of objects.
+    """
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # undecodable bytes or malformed JSON
+        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+    runs = data.get("runs") if isinstance(data, dict) else None
+    if not isinstance(runs, list) or not all(isinstance(r, dict) for r in runs):
+        raise ValueError(
+            f"{path}: not a benchmark trajectory file (no 'runs' list of objects)"
+        )
+    return runs
 
 
 def append_run(path: Path | str, record: dict) -> None:
@@ -1177,7 +1168,7 @@ def append_run(path: Path | str, record: dict) -> None:
     )
 
 
-def latest_run(runs: list[dict], scale: str, label: str | None = None) -> dict | None:
+def latest_run(runs: Sequence[dict], scale: str, label: str | None = None) -> dict | None:
     """Most recent run at ``scale`` (and ``label``, when given)."""
     for record in reversed(runs):
         if record.get("scale") != scale:
@@ -1206,277 +1197,238 @@ def record_scale_factor(record: dict) -> float:
     return 1.0
 
 
-def check_regression(
-    record: dict,
-    baseline_path: Path | str,
-    benchmark: str = GATE_BENCHMARK,
-    max_regression: float = 0.25,
-) -> tuple[bool, str]:
-    """Compare ``record`` against the committed trajectory.
+GATE_KINDS = ("baseline", "ratio", "seconds", "exponent")
 
-    Finds the most recent baseline run with the same scale and returns
-    ``(ok, message)``; ``ok`` is False when ``benchmark`` is slower than
-    the baseline by more than ``max_regression`` (0.25 = +25%). A missing
-    same-scale baseline passes vacuously (with a message saying so), so
-    the gate never blocks the PR that introduces a new scale.
+
+@dataclass(frozen=True, slots=True)
+class Gate:
+    """One row of :data:`GATES`: a limit on one value of one benchmark.
+
+    ``value`` is a dotted path into the benchmark's entry (``seconds``,
+    ``detail.overhead``, ``detail.fit.total_exponent``). ``kind`` says how
+    the value meets ``limit``:
+
+    * ``baseline`` — the value over the same value in the latest
+      same-scale committed run is at most ``1 + limit``;
+    * ``ratio``    — an overhead fraction measured inside one record is at
+      most ``limit``;
+    * ``seconds``  — an absolute time is at most ``limit`` seconds;
+    * ``exponent`` — a fitted log-log scaling exponent is at most ``limit``.
+
+    ``note`` renders the evidence printed beside the verdict; ``reason``
+    says why the limit is what it is.
     """
-    if max_regression < 0:
-        raise ValueError("max_regression must be non-negative")
-    baseline = latest_run(load_runs(baseline_path), scale=record["scale"])
-    if baseline is None:
-        return True, (
-            f"no baseline at scale {record['scale']!r} in {baseline_path}; skipping gate"
-        )
-    try:
-        base_s = float(baseline["benchmarks"][benchmark]["seconds"])
-        now_s = float(record["benchmarks"][benchmark]["seconds"])
-    except KeyError:
-        return True, f"benchmark {benchmark!r} missing from baseline or run; skipping gate"
-    if base_s <= 0:
-        return True, f"baseline {benchmark} time is non-positive; skipping gate"
-    ratio = now_s / base_s
-    message = (
-        f"{benchmark}: {now_s:.3f}s vs baseline {base_s:.3f}s "
-        f"({ratio:.0%} of baseline, limit {1 + max_regression:.0%})"
+
+    benchmark: str
+    value: str
+    kind: str
+    limit: float
+    reason: str
+    note: Callable[[dict], str]
+
+    def __post_init__(self) -> None:
+        if self.kind not in GATE_KINDS:
+            raise ValueError(f"{self.benchmark}: unknown gate kind {self.kind!r}")
+        # An absolute time or exponent limit of 0 cannot be met; a ratio
+        # or baseline limit of 0 means "no slower than the reference".
+        absolute = self.kind in ("seconds", "exponent")
+        if self.limit < 0 or (absolute and self.limit == 0):
+            bound = "positive" if absolute else "non-negative"
+            raise ValueError(
+                f"{self.benchmark} limit must be {bound}, got {self.limit}"
+            )
+
+
+def _versus(measured: str, base_key: str, base: str) -> Callable[[dict], str]:
+    """Note for a differential bench: its headline time vs its reference's."""
+    return lambda e: (
+        f"{e['seconds']:.3f}s {measured} vs {e['detail'][base_key]:.3f}s {base}"
     )
-    return ratio <= 1.0 + max_regression, message
 
 
-def check_retry_overhead(record: dict, max_overhead: float = 0.02) -> tuple[bool, str]:
-    """Gate the fault-tolerance wrapper's fault-free cost within ``record``.
-
-    Unlike :func:`check_regression` this is an intra-record check — the
-    plain pipeline timed in the same run is the baseline, so machine speed
-    cancels out. Returns ``(ok, message)``; a record without the
-    ``retry_overhead`` benchmark passes vacuously.
-    """
-    if max_overhead < 0:
-        raise ValueError("max_overhead must be non-negative")
-    entry = record.get("benchmarks", {}).get("retry_overhead")
-    if entry is None or "detail" not in entry:
-        return True, "retry_overhead benchmark missing from run; skipping gate"
-    overhead = float(entry["detail"]["overhead"])
-    message = (
-        f"retry_overhead: {entry['seconds']:.3f}s tolerant vs "
-        f"{entry['detail']['plain_seconds']:.3f}s plain "
-        f"({overhead:+.1%} overhead, limit {max_overhead:+.0%})"
-    )
-    return overhead <= max_overhead, message
-
-
-def check_journal_overhead(record: dict, max_overhead: float = 0.02) -> tuple[bool, str]:
-    """Gate the crash-safety wrapper's cost within ``record``.
-
-    Intra-record like :func:`check_retry_overhead`: the plain disk-cache
-    pipeline timed in the same run is the baseline, so machine and
-    filesystem speed cancel out. Returns ``(ok, message)``; a record
-    without the ``journal_overhead`` benchmark passes vacuously.
-    """
-    if max_overhead < 0:
-        raise ValueError("max_overhead must be non-negative")
-    entry = record.get("benchmarks", {}).get("journal_overhead")
-    if entry is None or "detail" not in entry:
-        return True, "journal_overhead benchmark missing from run; skipping gate"
-    overhead = float(entry["detail"]["overhead"])
-    message = (
-        f"journal_overhead: {entry['seconds']:.3f}s durable vs "
-        f"{entry['detail']['plain_seconds']:.3f}s plain "
-        f"({overhead:+.1%} overhead, limit {max_overhead:+.0%})"
-    )
-    return overhead <= max_overhead, message
-
-
-def check_trace_overhead(record: dict, max_overhead: float = 0.03) -> tuple[bool, str]:
-    """Gate the tracing layer's cost within ``record``.
-
-    Intra-record like the retry/journal gates: the untraced pipeline timed
-    in the same run — the tracing-disabled path itself — is the baseline,
-    so the gate simultaneously proves the disabled path adds nothing and
-    bounds what ``trace=True`` costs. Returns ``(ok, message)``; a record
-    without the ``trace_overhead`` benchmark passes vacuously.
-    """
-    if max_overhead < 0:
-        raise ValueError("max_overhead must be non-negative")
-    entry = record.get("benchmarks", {}).get("trace_overhead")
-    if entry is None or "detail" not in entry:
-        return True, "trace_overhead benchmark missing from run; skipping gate"
-    overhead = float(entry["detail"]["overhead"])
-    message = (
-        f"trace_overhead: {entry['seconds']:.3f}s traced vs "
-        f"{entry['detail']['plain_seconds']:.3f}s untraced "
-        f"({overhead:+.1%} overhead, limit {max_overhead:+.0%})"
-    )
-    return overhead <= max_overhead, message
-
-
-def check_audit_overhead(record: dict, max_overhead: float = 0.05) -> tuple[bool, str]:
-    """Gate the audit harness's cost over a plain double run within ``record``.
-
-    Intra-record like the other overhead gates: the plain double pipeline
-    run timed in the same record is the baseline, so machine speed cancels
-    out and the gate prices exactly the harness — sandboxes, journaling,
-    tracing, digesting, concordance assembly. Returns ``(ok, message)``;
-    a record without the ``audit_overhead`` benchmark passes vacuously.
-    """
-    if max_overhead < 0:
-        raise ValueError("max_overhead must be non-negative")
-    entry = record.get("benchmarks", {}).get("audit_overhead")
-    if entry is None or "detail" not in entry:
-        return True, "audit_overhead benchmark missing from run; skipping gate"
-    overhead = float(entry["detail"]["overhead"])
-    message = (
-        f"audit_overhead: {entry['seconds']:.3f}s audited vs "
-        f"{entry['detail']['plain_seconds']:.3f}s plain double run "
-        f"({overhead:+.1%} overhead, limit {max_overhead:+.0%})"
-    )
-    return overhead <= max_overhead, message
-
-
-def check_dist_overhead(record: dict, max_overhead: float = 0.25) -> tuple[bool, str]:
-    """Gate the dist backend's coordination cost within ``record``.
-
-    Intra-record like the other overhead gates, but in **absolute
-    per-step seconds** rather than a fraction: the sequential run of the
-    same trivial DAG timed in the same record is the baseline, and the
-    fixed fleet cost (fork, heartbeats, lease/assignment file traffic)
-    divided across the DAG's steps must stay under ``max_overhead``
-    seconds. Returns ``(ok, message)``; a record without the
-    ``dist_overhead`` benchmark passes vacuously.
-    """
-    if max_overhead < 0:
-        raise ValueError("max_overhead must be non-negative")
-    entry = record.get("benchmarks", {}).get("dist_overhead")
-    if entry is None or "detail" not in entry:
-        return True, "dist_overhead benchmark missing from run; skipping gate"
-    overhead = float(entry["detail"]["overhead_per_step"])
-    message = (
-        f"dist_overhead: {entry['seconds']:.3f}s fleet vs "
-        f"{entry['detail']['seq_seconds']:.3f}s sequential over "
-        f"{entry['detail']['steps']} steps "
-        f"({overhead:.3f}s/step, limit {max_overhead:.3f}s/step)"
-    )
-    return overhead <= max_overhead, message
-
-
-def check_serve_overhead(record: dict, max_overhead: float = 0.10) -> tuple[bool, str]:
-    """Gate the WAL ingest path's durability cost within ``record``.
-
-    Intra-record like the other overhead gates: the plain flat-file
-    append and the cold serve refresh timed in the same record are the
-    baselines, so machine speed cancels out and the gate prices exactly
-    the durability harness — record framing, dedupe bookkeeping, chunk
-    hashing, fsync — as a fraction of the recompute one ingest unlocks.
-    Returns ``(ok, message)``; a record without the
-    ``serve_ingest_overhead`` benchmark passes vacuously.
-    """
-    if max_overhead < 0:
-        raise ValueError("max_overhead must be non-negative")
-    entry = record.get("benchmarks", {}).get("serve_ingest_overhead")
-    if entry is None or "detail" not in entry:
-        return True, "serve_ingest_overhead benchmark missing from run; skipping gate"
-    overhead = float(entry["detail"]["overhead"])
-    message = (
-        f"serve_ingest_overhead: {entry['seconds']:.3f}s WAL ingest vs "
-        f"{entry['detail']['plain_seconds']:.3f}s plain append "
-        f"over a {entry['detail']['refresh_seconds']:.3f}s refresh "
-        f"({overhead:+.1%} of refresh, limit {max_overhead:+.0%})"
-    )
-    return overhead <= max_overhead, message
-
-
-def check_metrics_overhead(record: dict, max_overhead: float = 0.03) -> tuple[bool, str]:
-    """Gate the serve metrics plane's cost within ``record``.
-
-    Intra-record like the trace-overhead gate it mirrors: the serve
-    cycle timed in the same record is the denominator, and the plane's
-    directly-timed per-request and per-publish instrumentation is the
-    numerator — registry updates on every request, SLO evaluation and
-    ring publish on every status write. Returns ``(ok, message)``; a
-    record without the ``metrics_overhead`` benchmark passes vacuously.
-    """
-    if max_overhead < 0:
-        raise ValueError("max_overhead must be non-negative")
-    entry = record.get("benchmarks", {}).get("metrics_overhead")
-    if entry is None or "detail" not in entry:
-        return True, "metrics_overhead benchmark missing from run; skipping gate"
+def _latency_note(entry: dict) -> str:
+    """Percentiles and shedding; the p99 is None only when no request was timed."""
     detail = entry["detail"]
-    overhead = float(detail["overhead"])
-    message = (
-        f"metrics_overhead: {float(detail['instrument_seconds']) * 1e3:.2f}ms "
-        f"instrumentation per {entry['seconds'] * 1e3:.1f}ms serve cycle "
-        f"({detail['request_us']}us/request, {detail['publish_us']}us/publish; "
-        f"{overhead:+.1%} overhead, limit {max_overhead:+.0%})"
+    if detail.get("p99") is None:
+        return "recorded no requests"
+    return (
+        f"p50 {detail['p50'] * 1e3:.2f}ms / p95 {detail['p95'] * 1e3:.2f}ms over "
+        f"{detail['requests']} request(s), shed rate {detail['shed_rate']:.0%}"
     )
-    return overhead <= max_overhead, message
 
 
-def check_serve_latency(record: dict, max_p99: float = 0.5) -> tuple[bool, str]:
-    """Gate the p99 admission-to-answer latency under concurrent load.
-
-    Absolute rather than relative, like the dist gate: under deadline
-    shedding every answer must come off the warm fast path, so the p99
-    is bounded by lock handoff and bookkeeping, not by recompute cost.
-    Returns ``(ok, message)``; a record without the ``serve_latency``
-    benchmark (or one that saw no requests) passes vacuously.
-    """
-    if max_p99 <= 0:
-        raise ValueError("max_p99 must be positive")
-    entry = record.get("benchmarks", {}).get("serve_latency")
-    if entry is None or "detail" not in entry:
-        return True, "serve_latency benchmark missing from run; skipping gate"
-    detail = entry["detail"]
-    p99 = detail.get("p99")
-    if p99 is None:
-        return True, "serve_latency recorded no requests; skipping gate"
-    message = (
-        f"serve_latency: p50 {float(detail.get('p50') or 0.0) * 1e3:.2f}ms / "
-        f"p95 {float(detail.get('p95') or 0.0) * 1e3:.2f}ms / "
-        f"p99 {float(p99) * 1e3:.2f}ms over {detail.get('requests', 0)} "
-        f"request(s) (shed rate {float(detail.get('shed_rate', 0.0)):.0%}, "
-        f"p99 limit {max_p99 * 1e3:.0f}ms)"
-    )
-    return float(p99) <= max_p99, message
-
-
-def check_scale_sweep(
-    record: dict,
-    max_exponent: float = 1.35,
-    max_rss_exponent: float = 1.2,
-) -> tuple[bool, str]:
-    """Gate the fitted complexity of the simulate+analysis scale sweep.
-
-    Intra-record like the overhead gates: the sweep's own points are the
-    evidence, so machine speed cancels out of the fitted exponents. The
-    gate fails when the total (simulate + analysis) wall-time exponent
-    exceeds ``max_exponent`` — 1.0 is linear, 2.0 quadratic, so the
-    default 1.35 demands clearly sub-quadratic scaling — or when the peak
-    RSS exponent exceeds ``max_rss_exponent`` (memory must stay near
-    linear in job volume). Returns ``(ok, message)``; a record without
-    the ``scale_sweep`` benchmark passes vacuously.
-    """
-    if max_exponent <= 0 or max_rss_exponent <= 0:
-        raise ValueError("exponent limits must be positive")
-    entry = record.get("benchmarks", {}).get("scale_sweep")
-    if entry is None or "detail" not in entry:
-        return True, "scale_sweep benchmark missing from run; skipping gate"
-    detail = entry["detail"]
-    fit = detail["fit"]
-    points = detail["points"]
-    total_e = float(fit["total_exponent"])
-    rss_e = fit.get("rss_exponent")
+def _sweep_note(entry: dict) -> str:
+    """Wall growth against job growth between the sweep's end points."""
+    points = entry["detail"]["points"]
     lo, hi = points[0], points[-1]
-    span = (
+    return (
         f"{hi['scale_factor']}x/{lo['scale_factor']}x wall ratio "
         f"{hi['total_seconds'] / max(lo['total_seconds'], 1e-6):.1f}x "
         f"for {hi['jobs'] / max(lo['jobs'], 1):.0f}x jobs"
     )
-    message = (
-        f"scale_sweep: total exponent {total_e:.3f} (limit {max_exponent}), "
-        + (f"rss exponent {float(rss_e):.3f} (limit {max_rss_exponent}), " if rss_e is not None else "")
-        + span
-    )
-    ok = total_e <= max_exponent and (rss_e is None or float(rss_e) <= max_rss_exponent)
-    return ok, message
+
+
+#: Every limit ``repro bench --check`` enforces, one row each. The only
+#: cross-record row is the scheduler's baseline; every other row reads a
+#: value measured inside one record, so machine speed cancels out.
+GATES: tuple[Gate, ...] = (
+    Gate(
+        "simulate_schedule", "seconds", "baseline", 0.25,
+        reason=(
+            "The scheduler is the reproduction's hot path. CI runners are "
+            "noisy, so the limit is loose: it catches algorithmic "
+            "regressions, not single-digit-percent drift."
+        ),
+        note=lambda e: f"{e['seconds']:.3f}s",
+    ),
+    Gate(
+        "retry_overhead", "detail.overhead", "ratio", 0.02,
+        reason=(
+            "The retry/timeout wrapper must be near-free on fault-free "
+            "runs; it is priced differentially on a trivial step against "
+            "the plain simulation time of the same run."
+        ),
+        note=_versus("tolerant", "plain_seconds", "plain"),
+    ),
+    Gate(
+        "journal_overhead", "detail.overhead", "ratio", 0.02,
+        reason=(
+            "The crash-safety wrapper (journal records plus one entry-lock "
+            "cycle per computed step), priced on fsync-free paths so "
+            "filesystem noise cancels."
+        ),
+        note=_versus("durable", "plain_seconds", "plain"),
+    ),
+    Gate(
+        "trace_overhead", "detail.overhead", "ratio", 0.03,
+        reason=(
+            "The untraced side of the differential is the tracing-disabled "
+            "path itself, so one row proves disabled tracing costs nothing "
+            "and bounds what trace=True adds."
+        ),
+        note=_versus("traced", "plain_seconds", "untraced"),
+    ),
+    Gate(
+        "audit_overhead", "detail.overhead", "ratio", 0.05,
+        reason=(
+            "The audit harness (sandboxes, journaling, tracing, digest "
+            "walk, concordance) over a plain double pipeline run. Its cost "
+            "is roughly fixed while the double run shrank, so this row "
+            "fails on 2-vCPU hosts."
+        ),
+        note=_versus("audited", "plain_seconds", "plain double run"),
+    ),
+    Gate(
+        "dist_overhead", "detail.overhead_per_step", "seconds", 0.25,
+        reason=(
+            "Fleet mode's fork, heartbeat and lease cost is fixed, so it "
+            "is priced in seconds per step over a sequential run of the "
+            "same trivial DAG; a ratio against near-zero step compute "
+            "would say nothing about real runs."
+        ),
+        note=_versus("fleet", "seq_seconds", "sequential"),
+    ),
+    Gate(
+        "serve_ingest_overhead", "detail.overhead", "ratio", 0.10,
+        reason=(
+            "The WAL's durability cost (framing, dedupe bookkeeping, chunk "
+            "hashing, group-commit fsync) over a plain flat-file append, "
+            "as a fraction of the cold serve refresh one ingest unlocks."
+        ),
+        note=lambda e: (
+            f"{e['seconds']:.3f}s WAL ingest vs "
+            f"{e['detail']['plain_seconds']:.3f}s plain append, as a fraction "
+            f"of refresh {e['detail']['refresh_seconds']:.3f}s"
+        ),
+    ),
+    Gate(
+        "metrics_overhead", "detail.overhead", "ratio", 0.03,
+        reason=(
+            "Registry updates per request plus SLO evaluation and ring "
+            "publish per status write, priced against one measured serve "
+            "cycle: the same always-on argument as tracing."
+        ),
+        note=lambda e: (
+            f"{float(e['detail']['instrument_seconds']) * 1e3:.2f}ms "
+            f"instrumentation per {e['seconds'] * 1e3:.1f}ms serve cycle "
+            f"at {e['detail']['request_us']}us/request and "
+            f"{e['detail']['publish_us']}us/publish"
+        ),
+    ),
+    Gate(
+        "serve_latency", "detail.p99", "seconds", 0.5,
+        reason=(
+            "Four concurrent request loops under deadline shedding: every "
+            "answer must come off the warm fast path, so the p99 is "
+            "bounded absolutely, not relative to recompute cost."
+        ),
+        note=_latency_note,
+    ),
+    Gate(
+        "scale_sweep", "detail.fit.total_exponent", "exponent", 1.35,
+        reason=(
+            "Simulate + analysis wall time over tiled job volumes: 1.0 is "
+            "linear and 2.0 quadratic, so 1.35 demands clearly "
+            "sub-quadratic scaling."
+        ),
+        note=_sweep_note,
+    ),
+    Gate(
+        "scale_sweep", "detail.fit.rss_exponent", "exponent", 1.2,
+        reason="Peak RSS must stay near linear in job volume.",
+        note=_sweep_note,
+    ),
+)
+
+
+def _find(node, path: str):
+    """What dotted ``path`` names under ``node`` (``""``: ``node``), or None."""
+    for key in path.split(".") if path else ():
+        node = node.get(key) if isinstance(node, dict) else None
+    return node
+
+
+def evaluate_gate(
+    gate: Gate, record: dict, runs: Sequence[dict] = ()
+) -> tuple[bool, str]:
+    """``(ok, message)`` for one :data:`GATES` row against ``record``.
+
+    ``runs`` is the committed trajectory (:func:`load_runs`); only
+    ``baseline`` rows read it. A row passes vacuously, with a message
+    saying so, when its benchmark or value is absent from ``record`` or,
+    for a ``baseline`` row, from the latest same-scale run in ``runs`` —
+    so no gate blocks the change that introduces a benchmark or a scale.
+    """
+    name = gate.benchmark
+    entry = _find(record, f"benchmarks.{name}")
+    container, _, label = gate.value.rpartition(".")
+    if not isinstance(_find(entry, container), dict):
+        return True, f"{name} benchmark missing from run; skipping gate"
+    note = gate.note(entry)
+    value = _find(entry, gate.value)
+    if value is None:
+        return True, f"{name}: {note}; no {label}, skipping gate"
+    value = float(value)
+    if gate.kind == "baseline":
+        baseline = latest_run(runs, scale=record.get("scale"))
+        base = float(_find(baseline, f"benchmarks.{name}.{gate.value}") or 0.0)
+        if base <= 0:
+            return True, (
+                f"{name}: no baseline at scale {record.get('scale')!r}; "
+                "skipping gate"
+            )
+        ratio = value / base
+        return ratio <= 1.0 + gate.limit, (
+            f"{name}: {note} vs baseline {base:.3f}s "
+            f"({ratio:.0%} of baseline, limit {1 + gate.limit:.0%})"
+        )
+    if gate.kind == "ratio":
+        verdict = f"{value:+.1%} {label}, limit {gate.limit:+.0%}"
+    elif gate.kind == "seconds":
+        verdict = f"{label} {value * 1e3:.2f}ms, limit {gate.limit * 1e3:.0f}ms"
+    else:
+        verdict = f"{label} {value:.3f}, limit {gate.limit}"
+    return value <= gate.limit, f"{name}: {note} ({verdict})"
 
 
 def render_scale_sweep(record: dict) -> str:

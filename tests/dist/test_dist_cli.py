@@ -127,7 +127,11 @@ class TestReportFlags:
         assert "--workers" in output
 
     def test_bench_exposes_dist_overhead_gate(self):
+        # The dist gate's limit lives in the gate table, not in a flag.
         from repro.cli import build_parser
+        from repro.core.bench import GATES
 
-        args = build_parser().parse_args(["bench"])
-        assert args.max_dist_overhead == pytest.approx(0.25)
+        (row,) = [g for g in GATES if g.benchmark == "dist_overhead"]
+        assert (row.kind, row.limit) == ("seconds", pytest.approx(0.25))
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench", "--max-dist-overhead", "0.25"])

@@ -3,6 +3,8 @@
 import io
 import json
 
+import pytest
+
 from repro.cli import main
 from repro.core.trace import validate_perfetto
 
@@ -125,9 +127,11 @@ class TestVerbosityFlags:
         assert "INFO" in err
 
     def test_bench_parser_has_trace_gate_flag(self):
+        # The trace gate's limit lives in the gate table, not in a flag.
         from repro.cli import build_parser
+        from repro.core.bench import GATES
 
-        args = build_parser().parse_args(["bench", "--max-trace-overhead", "0.05"])
-        assert args.max_trace_overhead == 0.05
-        args = build_parser().parse_args(["bench"])
-        assert args.max_trace_overhead == 0.03
+        (row,) = [g for g in GATES if g.benchmark == "trace_overhead"]
+        assert (row.kind, row.limit) == ("ratio", 0.03)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench", "--max-trace-overhead", "0.05"])
