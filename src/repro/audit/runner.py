@@ -63,7 +63,7 @@ FULL_SCALE: dict[str, Any] = {
 #: Crash coordinate for the crash-resume leg: kill before the study
 #: assembly starts, so the resumed run replays the three generation
 #: stages from the journal+cache and computes study + experiments fresh.
-_CRASH_POINT = CrashPoint(step="study", event="step_start", mode="before")
+_CRASH_POINT = CrashPoint("journal", "step_start", step="study", mode="before")
 
 #: Retry policy for the injected-faults leg (fast backoff — the faults
 #: are deterministic, waiting teaches us nothing).

@@ -35,15 +35,13 @@ from repro.core.study import Study, StudyError, build_default_study
 from repro.core.trends import TrendEngine, TrendRow, TrendTable
 from repro.core.weighting import WeightedTrendEngine, make_cohort_weights
 from repro.core.faults import (
+    SITES,
     CrashPoint,
     FaultPlan,
     FaultSpec,
     InjectedFault,
     WorkerFaultPlan,
-    WorkerHang,
-    WorkerKill,
-    WorkerPartition,
-    worker_crash_coordinates,
+    coordinates,
 )
 from repro.core.journal import (
     JournalError,
@@ -101,12 +99,10 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "InjectedFault",
+    "SITES",
     "CrashPoint",
-    "WorkerKill",
-    "WorkerHang",
-    "WorkerPartition",
     "WorkerFaultPlan",
-    "worker_crash_coordinates",
+    "coordinates",
     "RunJournal",
     "ResumeState",
     "JournalError",

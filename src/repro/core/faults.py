@@ -43,24 +43,18 @@ __all__ = [
     "FaultPlan",
     "FaultEvent",
     "InjectedFault",
+    "SITES",
+    "MODES",
     "CrashPoint",
-    "JournalKillSwitch",
-    "JournalDiskFull",
-    "crash_coordinates",
+    "coordinates",
+    "KillSwitch",
+    "DiskFull",
+    "crash_in_child",
     "run_until_crash",
     "resume_after_crash",
-    "WorkerKill",
-    "WorkerHang",
-    "WorkerPartition",
     "WorkerFaultPlan",
-    "worker_crash_coordinates",
-    "IngestCrashPoint",
-    "WALKillSwitch",
-    "WALDiskFull",
     "PoisonRows",
     "SkewedClock",
-    "ingest_crash_coordinates",
-    "serve_crash_coordinates",
 ]
 
 #: Supported fault kinds: raise an exception, stall the attempt, corrupt
@@ -238,10 +232,7 @@ class FaultPlan:
         evicts on the next read.
         """
         for spec in self._matching(step, "corrupt_cache"):
-            with self._lock:
-                fired = sum(
-                    1 for e in self._events if e.step == step and e.kind == "corrupt_cache"
-                )
+            fired = self.fired(step, "corrupt_cache")
             if not spec.fires_on(fired + 1):
                 continue
             if cache.corrupt_entry(key, spec.blob):
@@ -267,10 +258,7 @@ class FaultPlan:
         if not will_compute:
             return False
         for spec in self._matching(step, "enospc"):
-            with self._lock:
-                fired = sum(
-                    1 for e in self._events if e.step == step and e.kind == "enospc"
-                )
+            fired = self.fired(step, "enospc")
             if not spec.fires_on(fired + 1):
                 continue
             cache.inject_put_failure(key)
@@ -301,57 +289,140 @@ class FaultPlan:
             self._events.clear()
 
 
-# -- process-level chaos: crash-and-resume harness ----------------------------
+# -- process-level chaos: one table of injection sites ------------------------
+#
+# The FaultPlan above fails *attempts* from the coordinating process. The
+# chaos below kills, stalls or cuts off a whole *process* at a point on a
+# durable path. Each site is one row of SITES, a CrashPoint names one
+# coordinate, and coordinates() enumerates a site's matrix from the table,
+# so a new durability site gets its SIGKILL matrix from one row.
+#
+# The two record sites, RunJournal.record and IngestWAL.append, call their
+# ``chaos`` hook as ``chaos(event, step, data, fd)`` just before a record's
+# bytes hit the file, with the fd at the record boundary; the WAL passes
+# ``(kind, None, data, fd)``. A hook may raise OSError (a failed disk) or
+# SIGKILL its own process, mid-record if it likes. The worker site fires
+# through a WorkerFaultPlan bound in each worker process.
+
+#: Each injection site's events, in the order its owner reaches them: the
+#: journal's step records, the WAL's feed kinds (one record per row), the
+#: phases of one worker task.
+SITES: dict[str, tuple[str, ...]] = {
+    "journal": ("step_start", "step_done"),
+    "wal": ("responses", "sacct"),
+    "worker": ("task_start", "before_publish", "after_publish", "after_result"),
+}
+
+#: What a coordinate does at each site. At a record site, where the SIGKILL
+#: lands in the record write: ``before`` (nothing written), ``torn`` (half
+#: the bytes — a torn tail the reader must drop) or ``after`` (the record is
+#: durable, the caller never learns). At the worker: ``kill`` (SIGKILL),
+#: ``hang`` (stall, heartbeats flowing), ``partition`` (stop heartbeating,
+#: keep computing).
+MODES: dict[str, tuple[str, ...]] = {
+    "journal": ("before", "torn", "after"),
+    "wal": ("before", "torn", "after"),
+    "worker": ("kill", "hang", "partition"),
+}
 
 
 @dataclass(frozen=True)
 class CrashPoint:
-    """One seeded (step, event) crash coordinate for the SIGKILL harness.
+    """One chaos coordinate: a site, one of its events, and what happens there.
 
     Attributes
     ----------
+    site, event:
+        A row of :data:`SITES` and one of its events.
     step:
-        Step name whose journal record triggers the crash; ``None``
-        matches the run-level records (``run_start``/``run_end``).
-    event:
-        Journal event name to crash on (``"step_start"``,
-        ``"step_done"``, ``"run_start"``, ``"run_end"``).
+        The step whose journal record or worker task triggers the point;
+        ``None`` at the WAL, whose records belong to no step.
     mode:
-        Where in the record write the SIGKILL lands: ``"before"`` (record
-        never written — the step looks in-flight), ``"torn"`` (half the
-        record's bytes hit the file — a torn tail the reader must drop),
-        or ``"after"`` (record fully written — the step looks complete).
+        One of ``MODES[site]``; ``None`` means ``"after"`` at the record
+        sites and ``"kill"`` at the worker.
+    nth:
+        0-based index, among the record writes matching ``event`` and
+        ``step``, of the one to fire on (the WAL's row index). A journal
+        writes each step's event once, so it fires on its first match.
+    count:
+        Worker firings fleet-wide, claimed through ``O_EXCL`` marker files:
+        1 is the kill matrix, ``>= poison_threshold`` drives the step
+        through enough distinct workers to quarantine it.
+    seconds:
+        The worker's stall (``hang``), or its compute delay after its
+        heartbeats stop (``partition``; set it above the lease ttl so the
+        coordinator declares the worker dead while it still computes).
     """
 
-    step: str | None
-    event: str = "step_done"
-    mode: str = "after"
+    site: str
+    event: str
+    step: str | None = None
+    mode: str | None = None
+    nth: int = 0
+    count: int = 1
+    seconds: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.mode not in ("before", "torn", "after"):
-            raise ValueError(f"unknown crash mode {self.mode!r}")
+        if self.site not in SITES:
+            raise ValueError(f"unknown chaos site {self.site!r}; expected one of {tuple(SITES)}")
+        events, modes = SITES[self.site], MODES[self.site]
+        if self.event not in events:
+            raise ValueError(f"unknown {self.site} event {self.event!r}; expected one of {events}")
+        if self.mode is None:
+            object.__setattr__(self, "mode", "kill" if self.site == "worker" else "after")
+        if self.mode not in modes:
+            raise ValueError(f"unknown {self.site} mode {self.mode!r}; expected one of {modes}")
+        if (self.step is None) != (self.site == "wal"):
+            raise ValueError(f"step={self.step!r}: a wal point takes no step, the others need one")
+        if self.nth < 0 or self.count < 1 or self.seconds < 0:
+            raise ValueError(f"need nth >= 0, count >= 1, seconds >= 0; got {self}")
 
 
-class JournalKillSwitch:
-    """A :attr:`RunJournal.chaos` hook that SIGKILLs at a :class:`CrashPoint`.
+def coordinates(
+    site: str,
+    steps: Sequence[str | None] = (None,),
+    nths: Sequence[int] = (0,),
+    modes: Sequence[str] | None = None,
+) -> list[CrashPoint]:
+    """A site's chaos matrix: every (step, event, nth, mode) coordinate, in
+    that nesting order. ``modes`` defaults to all of ``MODES[site]`` at the
+    record sites and to ``kill`` at the worker."""
+    if modes is None:
+        modes = ("kill",) if site == "worker" else MODES[site]
+    return [
+        CrashPoint(site, event, step, mode, nth)
+        for step in steps
+        for event in SITES[site]
+        for nth in nths
+        for mode in modes
+    ]
 
-    Installed on the child process's journal by :func:`run_until_crash`.
-    On the first record matching the crash point it writes zero, half, or
-    all of the record's bytes (per ``mode``), fsyncs what it wrote so the
-    torn state is exactly what a power-lossy crash would leave, then
-    delivers ``SIGKILL`` to its own process — no cleanup handlers run,
-    exactly like a preemption or OOM kill.
+
+class KillSwitch:
+    """A record-site ``chaos`` hook that SIGKILLs at a :class:`CrashPoint`.
+
+    On the ``nth`` record write matching the point's event and step it
+    writes zero, half, or all of the record's bytes (per ``mode``), fsyncs
+    what it wrote so the file is exactly what a power-lossy crash would
+    leave, then delivers ``SIGKILL`` to its own process — no cleanup
+    handlers run, exactly like a preemption or OOM kill.
     """
 
     def __init__(self, point: CrashPoint) -> None:
+        if point.site == "worker":
+            raise ValueError("worker points go in a WorkerFaultPlan, not a KillSwitch")
         self.point = point
+        self.seen = 0
 
     def __call__(
         self, event: str, step: str | None, data: bytes, fd: int
-    ) -> bool:  # pragma: no cover - ends in SIGKILL, untraceable by coverage
+    ) -> None:  # pragma: no cover - ends in SIGKILL, untraceable by coverage
         p = self.point
         if event != p.event or step != p.step:
-            return False
+            return
+        self.seen += 1
+        if self.seen <= p.nth:
+            return
         if p.mode == "torn":
             os.write(fd, data[: max(1, len(data) // 2)])
             os.fsync(fd)
@@ -359,61 +430,62 @@ class JournalKillSwitch:
             os.write(fd, data)
             os.fsync(fd)
         os.kill(os.getpid(), signal.SIGKILL)
-        return True  # unreachable
 
 
-class JournalDiskFull:
-    """A :attr:`RunJournal.chaos` hook simulating journal disk exhaustion.
+class DiskFull:
+    """A record-site ``chaos`` hook simulating disk exhaustion.
 
     Raises an injected ``ENOSPC`` once ``after_records`` records have been
-    written; the journal must degrade (``unavailable``) and the run must
-    continue.
+    written. A journal degrades (``unavailable``) and its run continues; the
+    WAL disables itself and the service degrades to read-only serving.
     """
 
     def __init__(self, after_records: int = 0) -> None:
         self.after_records = after_records
         self.seen = 0
 
-    def __call__(self, event: str, step: str | None, data: bytes, fd: int) -> bool:
+    def __call__(self, event: str, step: str | None, data: bytes, fd: int) -> None:
         if self.seen >= self.after_records:
-            raise OSError(28, "injected: no space left on device (journal)")
+            raise OSError(28, "injected: no space left on device")
         self.seen += 1
-        return False
 
 
-def crash_coordinates(
-    step_names: Sequence[str],
-    events: Sequence[str] = ("step_start", "step_done"),
-    modes: Sequence[str] = ("before", "torn", "after"),
-) -> list[CrashPoint]:
-    """The full crash matrix the chaos suite sweeps: every (step, event,
-    mode) coordinate, in deterministic order."""
-    return [
-        CrashPoint(step=name, event=event, mode=mode)
-        for name in step_names
-        for event in events
-        for mode in modes
-    ]
+def crash_in_child(target: Callable[..., Any], *args: Any, timeout: float = 60.0) -> int:
+    """Run ``target(*args)`` in a forked child and return its exit code.
 
+    ``-signal.SIGKILL`` means a kill switch fired. The child runs in its own
+    process group, which is swept once it has exited. A child still running
+    after ``timeout`` seconds is killed with its group and reported as
+    :class:`TimeoutError`, never as a crash: a hang on a durable path must
+    not pass for a kill. Uses the ``fork`` start method, so ``target`` may
+    be any closure (no pickling).
+    """
+    def child() -> None:  # pragma: no cover - runs in the fork
+        # Own process group, so the sweep below reaches any pool workers
+        # the child forks: SIGKILLing the child orphans them mid-task, and
+        # an orphaned worker never exits on its own.
+        os.setpgrp()
+        target(*args)
 
-def _crash_child(
-    factory: Callable[[], "Pipeline"],
-    journal_dir: str,
-    run_id: str,
-    point: CrashPoint,
-    run_kwargs: dict,
-) -> None:  # pragma: no cover - the child is SIGKILLed mid-run
-    # Own process group, so the parent can sweep any pool workers this
-    # child forks: SIGKILLing the child orphans them mid-task, and an
-    # orphaned worker never exits on its own.
-    os.setpgrp()
-    pipeline = factory()
-    journal = RunJournal.open(journal_dir, run_id)
-    journal.chaos = JournalKillSwitch(point)
-    try:
-        pipeline.run(journal=journal, **run_kwargs)
-    finally:
-        journal.close()
+    proc = multiprocessing.get_context("fork").Process(target=child, daemon=False)
+    proc.start()
+    # Reap by polling waitpid, not Process.join(): pool workers forked by
+    # the child inherit its multiprocessing sentinel pipe, so after the
+    # SIGKILL the sentinel stays open (held by orphans) and a sentinel-
+    # based join would block for the whole timeout.
+    deadline = time.monotonic() + timeout
+    while proc.exitcode is None and time.monotonic() < deadline:
+        time.sleep(0.01)
+    hung = proc.exitcode is None
+    try:  # sweep orphaned pool workers (or the hung child) in its group
+        os.killpg(proc.pid, signal.SIGKILL)
+    except OSError:
+        pass
+    if hung:
+        proc.kill()  # in case it had not reached setpgrp yet
+        proc.join(5.0)
+        raise TimeoutError(f"chaos child still running after timeout={timeout}s; killed")
+    return proc.exitcode
 
 
 def run_until_crash(
@@ -424,44 +496,33 @@ def run_until_crash(
     run_id: str | None = None,
     run_kwargs: Mapping[str, Any] | None = None,
     timeout: float = 60.0,
-) -> tuple[str, int | None]:
+) -> tuple[str, int]:
     """Run ``factory()``'s pipeline in a child process killed at ``point``.
 
     The child journals to ``journal_dir`` under ``run_id`` with a
-    :class:`JournalKillSwitch` installed, so it SIGKILLs itself at the
-    requested (step, event, mode) coordinate. Returns ``(run_id,
-    exitcode)`` — ``-signal.SIGKILL`` when the crash fired, ``0`` when the
-    coordinate never matched (e.g. the step was already cached and its
-    ``step_start`` never happened... which still lets the caller resume
-    and assert byte-identity).
+    :class:`KillSwitch` installed, so it SIGKILLs itself at the requested
+    journal coordinate. Returns ``(run_id, exitcode)`` — ``-signal.SIGKILL``
+    when the crash fired, ``0`` when the coordinate never matched (e.g. the
+    step was already cached and its ``step_start`` never happened... which
+    still lets the caller resume and assert byte-identity). Raises
+    :class:`TimeoutError` when the child outlives ``timeout``
+    (:func:`crash_in_child`).
 
-    Uses the ``fork`` start method so ``factory`` may be any closure (no
-    pickling); the caller's test must therefore build process-mode
-    pipelines *inside* the factory, not share pools across the fork.
+    The caller's test must build process-mode pipelines *inside* the
+    factory, not share pools across the fork.
     """
-    ctx = multiprocessing.get_context("fork")
     rid = run_id if run_id is not None else new_run_id()
-    proc = ctx.Process(
-        target=_crash_child,
-        args=(factory, str(journal_dir), rid, point, dict(run_kwargs or {})),
-        daemon=False,
-    )
-    proc.start()
-    # Reap by polling waitpid, not Process.join(): pool workers forked by
-    # the child inherit its multiprocessing sentinel pipe, so after the
-    # SIGKILL the sentinel stays open (held by orphans) and a sentinel-
-    # based join would block for the whole timeout.
-    deadline = time.monotonic() + timeout
-    while proc.exitcode is None and time.monotonic() < deadline:
-        time.sleep(0.01)
-    if proc.exitcode is None:  # pragma: no cover - hung child safety net
-        proc.kill()
-        proc.join(5.0)
-    try:  # sweep orphaned pool workers left in the child's process group
-        os.killpg(proc.pid, signal.SIGKILL)
-    except (ProcessLookupError, PermissionError, OSError):
-        pass
-    return rid, proc.exitcode
+
+    def child() -> None:  # pragma: no cover - the child is SIGKILLed mid-run
+        pipeline = factory()
+        journal = RunJournal.open(journal_dir, rid)
+        journal.chaos = KillSwitch(point)
+        try:
+            pipeline.run(journal=journal, **dict(run_kwargs or {}))
+        finally:
+            journal.close()
+
+    return rid, crash_in_child(child, timeout=timeout)
 
 
 def resume_after_crash(
@@ -490,122 +551,28 @@ def resume_after_crash(
         journal.close()
 
 
-# -- worker-level chaos (fleet mode) -------------------------------------------
-#
-# The coordinator-side FaultPlan above cannot reach a dist run: faults must
-# fire *inside a worker process*, possibly on another host, and the whole
-# point of the fleet chaos matrix is killing whole workers rather than
-# failing attempts. Worker chaos therefore follows the CrashPoint pattern
-# (SIGKILL at a (step, event) coordinate) but rides the run directory: a
-# WorkerFaultPlan is pickled into the run spec, bound per worker at start,
-# and claims cross-process firing slots via O_CREAT|O_EXCL marker files so
-# "kill N distinct workers on this step" needs no shared memory.
-
-#: Worker-side fault coordinates, mirroring repro.dist.worker.WORKER_EVENTS.
-WorkerEvent = ("task_start", "before_publish", "after_publish", "after_result")
-
-
-@dataclass(frozen=True)
-class WorkerKill:
-    """SIGKILL the executing worker at a (step, event) coordinate.
-
-    ``count`` bounds total firings across the whole fleet (claimed via
-    marker files): ``count=1`` is the kill-matrix case (one worker dies,
-    the lease expires, a survivor takes over), while ``count >=
-    poison_threshold`` drives the same step through enough distinct
-    workers to get it quarantined as poisoned.
-    """
-
-    step: str
-    event: str = "task_start"
-    count: int = 1
-
-    def __post_init__(self) -> None:
-        if self.event not in WorkerEvent:
-            raise ValueError(f"unknown worker event {self.event!r}; expected one of {WorkerEvent}")
-        if self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
-
-    def fire(self, bound: "BoundWorkerChaos") -> None:  # pragma: no cover - SIGKILL
-        os.kill(os.getpid(), signal.SIGKILL)
-
-
-@dataclass(frozen=True)
-class WorkerHang:
-    """Stall the executing worker while its heartbeats keep flowing.
-
-    The classic straggler: the lease never expires (the worker is alive
-    and beating), so only the speculation deadline can rescue the step —
-    a speculative twin computes it, publishes first, and the woken
-    straggler observes the published value and stands down.
-    """
-
-    step: str
-    seconds: float = 1.0
-    event: str = "task_start"
-    count: int = 1
-
-    def __post_init__(self) -> None:
-        if self.event not in WorkerEvent:
-            raise ValueError(f"unknown worker event {self.event!r}; expected one of {WorkerEvent}")
-        if self.seconds < 0:
-            raise ValueError(f"seconds must be non-negative, got {self.seconds}")
-        if self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
-
-    def fire(self, bound: "BoundWorkerChaos") -> None:
-        time.sleep(self.seconds)
-
-
-@dataclass(frozen=True)
-class WorkerPartition:
-    """Stop heartbeating but keep computing — the split-brain case.
-
-    The coordinator sees a dead worker (counter frozen past the lease
-    ttl), expires the lease, and reassigns the step under a bumped epoch
-    — while the partitioned worker, alive and oblivious, races its own
-    replacement to the publish. Lease fencing must win: the stale worker's
-    pre-publish fence check observes the bumped epoch and discards its
-    value. ``delay`` holds the compute back long enough for the ttl to
-    actually expire (set it above the fleet's ``lease_ttl``).
-    """
-
-    step: str
-    delay: float = 0.0
-    event: str = "task_start"
-    count: int = 1
-
-    def __post_init__(self) -> None:
-        if self.event not in WorkerEvent:
-            raise ValueError(f"unknown worker event {self.event!r}; expected one of {WorkerEvent}")
-        if self.delay < 0:
-            raise ValueError(f"delay must be non-negative, got {self.delay}")
-        if self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
-
-    def fire(self, bound: "BoundWorkerChaos") -> None:
-        if bound.heartbeat is not None:
-            bound.heartbeat.pause()
-        if self.delay:
-            time.sleep(self.delay)
-
-
 @dataclass(frozen=True)
 class WorkerFaultPlan:
-    """Declarative worker chaos for one dist run.
+    """Declarative worker chaos for one dist run: ``worker`` :class:`CrashPoint`\\ s.
 
-    Pickled into the run spec by the coordinator and bound per worker
-    process at startup (:meth:`bind`). Firing slots are claimed through
+    Worker chaos must fire *inside a worker process*, possibly on another
+    host, so the plan rides the run directory: it is pickled into the run
+    spec by the coordinator and bound per worker process at startup
+    (:meth:`bind`). Firing slots are claimed through
     ``chaos/<spec>.<slot>`` marker files created ``O_CREAT|O_EXCL`` in the
     run directory, so each spec fires exactly ``count`` times fleet-wide
     no matter how many workers race for the coordinate — deterministic
     chaos without any cross-process channel beyond the shared filesystem.
     """
 
-    specs: tuple = ()
+    specs: tuple[CrashPoint, ...] = ()
 
-    def __init__(self, specs: Iterable[Any] = ()) -> None:
-        object.__setattr__(self, "specs", tuple(specs))
+    def __init__(self, specs: Iterable[CrashPoint] = ()) -> None:
+        specs = tuple(specs)
+        for point in specs:
+            if point.site != "worker":
+                raise ValueError(f"a WorkerFaultPlan takes worker points, got a {point.site} point")
+        object.__setattr__(self, "specs", specs)
 
     def bind(self, run_dir: Any, worker_id: str, heartbeat: Any = None) -> "BoundWorkerChaos":
         return BoundWorkerChaos(self, run_dir, worker_id, heartbeat)
@@ -640,125 +607,20 @@ class BoundWorkerChaos:
         return False
 
     def fire(self, step: str, event: str) -> None:
-        for index, spec in enumerate(self.plan.specs):
-            if spec.step != step or spec.event != event:
-                continue
-            if not self._claim(index, spec.count):
+        for index, point in enumerate(self.plan.specs):
+            if point.step != step or point.event != event or not self._claim(index, point.count):
                 continue
             trace_instant(
-                "fault.fired", "fault", step=step, kind=type(spec).__name__,
-                worker=self.worker_id,
+                "fault.fired", "fault", step=step, kind=point.mode, worker=self.worker_id
             )
-            spec.fire(self)
+            if point.mode == "kill":  # pragma: no cover - SIGKILL
+                os.kill(os.getpid(), signal.SIGKILL)
+            if point.mode == "partition" and self.heartbeat is not None:
+                self.heartbeat.pause()
+            time.sleep(point.seconds)
 
 
-def worker_crash_coordinates(
-    step_names: Sequence[str],
-    events: Sequence[str] = WorkerEvent,
-) -> list[WorkerKill]:
-    """The dist kill matrix: SIGKILL one worker at every (step, event)
-    coordinate, in deterministic order (mirrors :func:`crash_coordinates`)."""
-    return [
-        WorkerKill(step=name, event=event)
-        for name in step_names
-        for event in events
-    ]
-
-
-# -- serve-side chaos: kill-mid-ingest, poison rows, clock skew ----------------
-#
-# The serve chaos matrix has two process-death surfaces the batch matrix
-# does not: dying while *appending to the ingest WAL* (the row may be
-# unwritten, torn, or fully durable-but-unacked) and dying while
-# *recomputing* (covered by the existing CrashPoint/JournalKillSwitch —
-# the service's refresh journals through the same RunJournal). The hooks
-# below cover the first surface plus the two non-crash serve coordinates
-# from the issue: poison rows and clock skew.
-
-
-@dataclass(frozen=True)
-class IngestCrashPoint:
-    """One (kind, row, mode) kill-mid-ingest coordinate.
-
-    Attributes
-    ----------
-    kind:
-        WAL feed the crash rides (``"responses"`` / ``"sacct"``); ``None``
-        matches any feed.
-    row:
-        0-based index of the matching record write to crash on, counted
-        across the WAL's lifetime in the crashing process.
-    mode:
-        ``"before"`` (the row never reaches the log), ``"torn"`` (half its
-        bytes land — the healed tail on restart), ``"after"`` (the row is
-        durable but the ack never made it back to the client — the batch
-        dedupe must absorb the re-send).
-    """
-
-    kind: str | None = None
-    row: int = 0
-    mode: str = "after"
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("before", "torn", "after"):
-            raise ValueError(f"unknown crash mode {self.mode!r}")
-        if self.row < 0:
-            raise ValueError(f"row must be >= 0, got {self.row}")
-
-
-class WALKillSwitch:
-    """An :attr:`IngestWAL.chaos` hook that SIGKILLs at an :class:`IngestCrashPoint`.
-
-    The ingest-side twin of :class:`JournalKillSwitch`: on the matching
-    record write it leaves zero, half, or all of the record's bytes in
-    the segment (fsynced, so the file state is exactly what power loss
-    would leave) and SIGKILLs its own process. The serve chaos tests
-    restart the service afterwards and assert it converges to artifacts
-    byte-identical to a clean rebuild of the same rows.
-    """
-
-    def __init__(self, point: IngestCrashPoint) -> None:
-        self.point = point
-        self.seen = 0
-
-    def __call__(
-        self, kind: str, data: bytes, fd: int
-    ) -> bool:  # pragma: no cover - ends in SIGKILL, untraceable by coverage
-        p = self.point
-        if p.kind is not None and kind != p.kind:
-            return False
-        matched = self.seen == p.row
-        self.seen += 1
-        if not matched:
-            return False
-        if p.mode == "torn":
-            os.write(fd, data[: max(1, len(data) // 2)])
-            os.fsync(fd)
-        elif p.mode == "after":
-            os.write(fd, data)
-            os.fsync(fd)
-        os.kill(os.getpid(), signal.SIGKILL)
-        return True  # unreachable
-
-
-class WALDiskFull:
-    """An :attr:`IngestWAL.chaos` hook simulating ingest disk exhaustion.
-
-    Raises an injected ``ENOSPC`` once ``after_records`` record writes
-    have happened; the WAL must disable itself and the service must
-    degrade to read-only serving (rows refused, requests answered STALE)
-    instead of dying — the satellite-3 ENOSPC ladder.
-    """
-
-    def __init__(self, after_records: int = 0) -> None:
-        self.after_records = after_records
-        self.seen = 0
-
-    def __call__(self, kind: str, data: bytes, fd: int) -> bool:
-        if self.seen >= self.after_records:
-            raise OSError(28, "injected: no space left on device (ingest WAL)")
-        self.seen += 1
-        return False
+# -- serve test inputs: poison rows, clock skew --------------------------------
 
 
 @dataclass(frozen=True)
@@ -813,31 +675,3 @@ class SkewedClock:
                 self._offset += self.jumps[self.calls]
             self.calls += 1
             return self.base() + self._offset
-
-
-def ingest_crash_coordinates(
-    kinds: Sequence[str] = ("responses", "sacct"),
-    rows: Sequence[int] = (0,),
-    modes: Sequence[str] = ("before", "torn", "after"),
-) -> list[IngestCrashPoint]:
-    """The kill-mid-ingest matrix: every (kind, row, mode) coordinate."""
-    return [
-        IngestCrashPoint(kind=kind, row=row, mode=mode)
-        for kind in kinds
-        for row in rows
-        for mode in modes
-    ]
-
-
-def serve_crash_coordinates(
-    step_names: Sequence[str],
-    events: Sequence[str] = ("step_start", "step_done"),
-    modes: Sequence[str] = ("before", "torn", "after"),
-) -> list[CrashPoint]:
-    """The kill-mid-recompute matrix for a serve refresh.
-
-    Identical to :func:`crash_coordinates` (the refresh journals through
-    the same :class:`~repro.core.journal.RunJournal`); aliased so the
-    serve chaos suite names its half of the matrix explicitly.
-    """
-    return crash_coordinates(step_names, events, modes)

@@ -147,12 +147,12 @@ class RunJournal:
     The caller owns the lifetime — call :meth:`close` (idempotent) when
     the run ends.
 
-    ``chaos`` is the fault-injection seam (mirroring
-    ``ArtifactCache.corrupt_entry``): when set, it is invoked as
+    ``chaos`` is the fault-injection seam (the ``journal`` site of
+    :data:`repro.core.faults.SITES`): when set, it is invoked as
     ``chaos(event, step, data, fd)`` before each record hits the file and
-    may consume the write (return True), raise ``OSError`` to simulate a
-    failed disk, or SIGKILL the process to simulate a crash — including
-    *mid-record*, which is how the torn-write injector works.
+    may raise ``OSError`` to simulate a failed disk, or SIGKILL the
+    process to simulate a crash — including *mid-record*, which is how
+    the torn-write injector works.
     """
 
     def __init__(
@@ -176,7 +176,7 @@ class RunJournal:
         self.fsync_interval = fsync_interval
         self.rotate_bytes = rotate_bytes
         self.rotations = 0
-        self.chaos: Callable[[str, str | None, bytes, int], bool] | None = None
+        self.chaos: Callable[[str, str | None, bytes, int], None] | None = None
         self.error: str | None = None
         self.records_written = 0
         self._lock = threading.Lock()
@@ -281,8 +281,8 @@ class RunJournal:
                     and self._size + len(data) > self.rotate_bytes
                 ):
                     self._rotate()
-                if self.chaos is not None and self.chaos(event, step, data, self._fd):
-                    return True
+                if self.chaos is not None:
+                    self.chaos(event, step, data, self._fd)
                 os.write(self._fd, data)
                 self._size += len(data)
                 self.records_written += 1

@@ -17,8 +17,9 @@ stragglers get speculative duplicates (first-writer-wins); a total fleet
 loss degrades the run to a DEGRADED report instead of hanging. Artifact
 publishes stay at-most-once throughout via the cache's atomic put,
 per-key entry locks, and the pre-publish fence check. Worker-level chaos
-(:class:`~repro.core.faults.WorkerKill` / ``WorkerHang`` /
-``WorkerPartition``) injects exactly these failures for the test matrix.
+(``worker`` points of :class:`~repro.core.faults.CrashPoint` in a
+:class:`~repro.core.faults.WorkerFaultPlan`, modes ``kill`` / ``hang`` /
+``partition``) injects exactly these failures for the test matrix.
 """
 
 from repro.dist.coordinator import run_coordinator

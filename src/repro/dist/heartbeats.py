@@ -80,7 +80,7 @@ class HeartbeatWriter:
     retried next tick — :func:`read_heartbeat` returns None).
 
     :meth:`pause` stops the counter from advancing while leaving the
-    process running — the injection point for ``WorkerPartition`` chaos,
+    process running — the injection point for ``partition`` worker chaos,
     and the exact condition lease expiry is designed to catch.
     """
 

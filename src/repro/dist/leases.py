@@ -266,9 +266,18 @@ def cleanup_run_dir(run_dir: Path) -> None:
     """Remove the whole run directory (leases, heartbeats, assignments).
 
     Called by the coordinator after the fleet has stopped; leaves the
-    parent ``.dist/`` behind only if other runs still live there.
+    parent ``.dist/`` behind only if other runs still live there. The
+    directory is renamed to a unique sibling before it is removed: a
+    straggling worker's last path-based write (its final spine flush)
+    then fails open instead of landing in a directory ``rmtree`` has
+    already listed, where it would survive the sweep.
     """
-    shutil.rmtree(run_dir, ignore_errors=True)
+    doomed = run_dir.with_name(f".{run_dir.name}.{os.getpid()}.swept")
+    try:
+        os.rename(run_dir, doomed)
+    except OSError:
+        doomed = run_dir
+    shutil.rmtree(doomed, ignore_errors=True)
     parent = run_dir.parent
     try:
         parent.rmdir()  # only succeeds when no other run dirs remain

@@ -9,7 +9,7 @@ behaves identically to one forked locally.
 
 Execution of one task::
 
-    chaos("task_start")                      # WorkerKill / Hang / Partition
+    chaos("task_start")                      # kill / hang / partition
     lease = FileLock(leases/<step>.lease)    # crashed holders auto-reclaim
     inputs = cache.peek(key(dep)) ...        # deps are already published
     value = _attempt_loop(step, ...)         # the pipeline's loop, no pool:
@@ -48,6 +48,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
+from repro.core.faults import SITES
 from repro.core.pipeline import (
     ArtifactCache,
     PipelineStep,
@@ -70,9 +71,10 @@ from repro.obs.spine import WorkerObs
 
 __all__ = ["DistConfig", "RunSpec", "worker_main", "load_spec", "write_spec"]
 
-#: Worker-side chaos coordinates, in execution order. The kill matrix in
-#: tests/dist parametrizes over (step, event) pairs drawn from these.
-WORKER_EVENTS = ("task_start", "before_publish", "after_publish", "after_result")
+#: Worker-side chaos coordinates, in execution order: the ``worker`` row of
+#: :data:`repro.core.faults.SITES`. The kill matrix in tests/dist
+#: parametrizes over (step, event) pairs drawn from these.
+WORKER_EVENTS = SITES["worker"]
 
 
 @dataclass(frozen=True)

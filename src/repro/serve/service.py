@@ -201,7 +201,7 @@ class StudyService:
         )
         #: Chaos seam: installed as :attr:`RunJournal.chaos` on every
         #: journal a refresh opens (the kill-mid-recompute coordinates).
-        self.journal_chaos: Callable[..., bool] | None = None
+        self.journal_chaos: Callable[..., None] | None = None
         self.read_only = False
         self.read_only_reason = ""
         self.draining = False

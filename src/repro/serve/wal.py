@@ -49,10 +49,10 @@ token's digest.
 Failure containment mirrors the journal: any ``OSError`` on the write
 path (``ENOSPC`` above all) disables the WAL and raises
 :class:`WALUnavailable`; the service degrades to read-only serving
-instead of dying. ``chaos`` is the fault-injection seam — invoked as
-``chaos(kind, data, fd)`` before each record write, it may raise
-``OSError`` or SIGKILL the process mid-record (the kill-mid-ingest
-chaos coordinates).
+instead of dying. ``chaos`` is the fault-injection seam (the ``wal`` site
+of :data:`repro.core.faults.SITES`) — invoked as ``chaos(kind, None, data,
+fd)`` before each record write, it may raise ``OSError`` or SIGKILL the
+process mid-record (the kill-mid-ingest chaos coordinates).
 """
 
 from __future__ import annotations
@@ -184,7 +184,7 @@ class IngestWAL:
         self.directory = Path(directory)
         self.rotate_bytes = rotate_bytes
         self.do_fsync = bool(fsync)
-        self.chaos: Callable[[str, bytes, int], bool] | None = None
+        self.chaos: Callable[[str, None, bytes, int], None] | None = None
         self.error: str | None = None
         self.healed_bytes = 0
         self.poison_lines = 0
@@ -379,11 +379,8 @@ class IngestWAL:
                 assert self._fd is not None
                 if self.chaos is not None:
                     _drain()
-                    if self.chaos(kind, data, self._fd):
-                        continue  # consumed: the row never persisted, never acked
-                    os.write(self._fd, data)
-                else:
-                    pending += data
+                    self.chaos(kind, None, data, self._fd)
+                pending += data
                 self._size += len(data)
                 seq += 1
                 accepted.append(row)

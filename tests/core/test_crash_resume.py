@@ -14,7 +14,7 @@ import pickle
 
 import pytest
 
-from repro.core.faults import CrashPoint, crash_coordinates, run_until_crash
+from repro.core.faults import CrashPoint, coordinates, run_until_crash
 from repro.core.journal import RunJournal, load_resume_state
 from repro.core.pipeline import ArtifactCache, Pipeline, PipelineStep
 
@@ -87,7 +87,7 @@ def crash_then_resume(tmp_path, point, run_kwargs=None):
 class TestCrashMatrixSequential:
     @pytest.mark.parametrize(
         "point",
-        crash_coordinates(STEP_NAMES),
+        coordinates("journal", STEP_NAMES),
         ids=lambda p: f"{p.step}-{p.event}-{p.mode}",
     )
     def test_resume_is_byte_identical(self, tmp_path, point):
@@ -110,7 +110,7 @@ class TestCrashOtherExecutors:
         expected = uninterrupted_results(tmp_path)
         _, results, report = crash_then_resume(
             tmp_path,
-            CrashPoint(step, "step_done", "before"),
+            CrashPoint("journal", "step_done", step, "before"),
             run_kwargs={"executor": "thread", "max_workers": 2},
         )
         assert_artifacts_identical(results, expected)
@@ -119,10 +119,10 @@ class TestCrashOtherExecutors:
     @pytest.mark.parametrize(
         "point",
         [
-            CrashPoint("gen", "step_done", "after"),
-            CrashPoint("double", "step_start", "before"),
-            CrashPoint("stats", "step_done", "torn"),
-            CrashPoint("merge", "step_done", "before"),
+            CrashPoint("journal", "step_done", "gen", "after"),
+            CrashPoint("journal", "step_start", "double", "before"),
+            CrashPoint("journal", "step_done", "stats", "torn"),
+            CrashPoint("journal", "step_done", "merge", "before"),
         ],
         ids=lambda p: f"{p.step}-{p.event}-{p.mode}",
     )
@@ -138,7 +138,7 @@ class TestCrashOtherExecutors:
 class TestResumeSemantics:
     def test_resume_reports_prior_run_id(self, tmp_path):
         state, _, report = crash_then_resume(
-            tmp_path, CrashPoint("stats", "step_start", "before")
+            tmp_path, CrashPoint("journal", "step_start", "stats", "before")
         )
         assert report.resumed and report.resumed_from == state.run_id
 
@@ -146,7 +146,7 @@ class TestResumeSemantics:
         factory = make_factory(tmp_path)
         journal_dir = tmp_path / "journals"
         run_id, _ = run_until_crash(
-            factory, journal_dir, CrashPoint("merge", "step_start", "before")
+            factory, journal_dir, CrashPoint("journal", "step_start", "merge", "before")
         )
         state = load_resume_state(journal_dir, run_id)
         assert "double" in state.completed
@@ -170,7 +170,7 @@ class TestResumeSemantics:
         factory = make_factory(tmp_path)
         journal_dir = tmp_path / "journals"
         run_id, _ = run_until_crash(
-            factory, journal_dir, CrashPoint("merge", "step_start", "before")
+            factory, journal_dir, CrashPoint("journal", "step_start", "merge", "before")
         )
         state = load_resume_state(journal_dir, run_id)
         pipeline = factory()

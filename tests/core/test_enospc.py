@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.faults import FaultPlan, FaultSpec, JournalDiskFull
+from repro.core.faults import DiskFull, FaultPlan, FaultSpec
 from repro.core.journal import RunJournal
 from repro.core.pipeline import ArtifactCache, Pipeline, PipelineStep
 
@@ -70,7 +70,7 @@ class TestJournalEnospc:
     def test_journal_disk_full_degrades_but_run_completes(self, tmp_path):
         pipeline = make_pipeline(tmp_path / "cache")
         journal = RunJournal.open(tmp_path / "journals")
-        journal.chaos = JournalDiskFull(after_records=2)
+        journal.chaos = DiskFull(after_records=2)
         try:
             results, report = pipeline.run_with_report(
                 executor="sequential", journal=journal
@@ -85,7 +85,7 @@ class TestJournalEnospc:
 
     def test_degraded_journal_records_stop_but_never_raise(self, tmp_path):
         journal = RunJournal.open(tmp_path / "journals")
-        journal.chaos = JournalDiskFull(after_records=0)
+        journal.chaos = DiskFull(after_records=0)
         try:
             assert journal.run_start({"a": "k"}) is False
             assert journal.unavailable

@@ -12,7 +12,7 @@ the step under a bumped fencing epoch.
 
 import pytest
 
-from repro.core.faults import WorkerFaultPlan, WorkerKill, worker_crash_coordinates
+from repro.core.faults import CrashPoint, WorkerFaultPlan, coordinates
 from repro.dist.worker import WORKER_EVENTS
 
 from tests.dist.conftest import (
@@ -24,7 +24,7 @@ from tests.dist.conftest import (
     make_pipeline,
 )
 
-COORDINATES = worker_crash_coordinates(STEP_NAMES)
+COORDINATES = coordinates("worker", STEP_NAMES)
 
 
 def test_matrix_covers_every_coordinate():
@@ -73,7 +73,7 @@ def test_kill_two_workers_still_recovers(tmp_path, sequential_artifacts):
     results = pipeline.run(
         executor="dist",
         backend_options=opts,
-        fault_plan=WorkerFaultPlan([WorkerKill("double", "task_start", count=2)]),
+        fault_plan=WorkerFaultPlan([CrashPoint("worker", "task_start", "double", "kill", count=2)]),
     )
     assert artifact_bytes(results) == sequential_artifacts
     stats = pipeline.last_metrics.backend_stats

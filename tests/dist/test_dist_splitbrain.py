@@ -5,12 +5,7 @@ everyone-died endgame that must degrade instead of hang."""
 
 import pytest
 
-from repro.core.faults import (
-    WorkerFaultPlan,
-    WorkerHang,
-    WorkerKill,
-    WorkerPartition,
-)
+from repro.core.faults import CrashPoint, WorkerFaultPlan
 from repro.core.pipeline import PipelineError
 
 from tests.dist.conftest import (
@@ -39,7 +34,9 @@ class TestSplitBrain:
             backend_options=opts,
             # delay > lease_ttl so the partition is actually declared dead
             # while the zombie still intends to publish.
-            fault_plan=WorkerFaultPlan([WorkerPartition("stats", delay=0.6)]),
+            fault_plan=WorkerFaultPlan(
+                [CrashPoint("worker", "task_start", "stats", "partition", seconds=0.6)]
+            ),
         )
         assert artifact_bytes(results) == sequential_artifacts
         stats = pipeline.last_metrics.backend_stats
@@ -53,7 +50,9 @@ class TestSplitBrain:
         results = pipeline.run(
             executor="dist",
             backend_options=dict(FAST),
-            fault_plan=WorkerFaultPlan([WorkerPartition("gen", delay=0.6)]),
+            fault_plan=WorkerFaultPlan(
+                [CrashPoint("worker", "task_start", "gen", "partition", seconds=0.6)]
+            ),
         )
         assert artifact_bytes(results) == sequential_artifacts
         assert_single_publishes(pipeline.last_metrics)
@@ -74,7 +73,9 @@ class TestSpeculation:
         results = pipeline.run(
             executor="dist",
             backend_options=opts,
-            fault_plan=WorkerFaultPlan([WorkerHang("double", seconds=1.0)]),
+            fault_plan=WorkerFaultPlan(
+                [CrashPoint("worker", "task_start", "double", "hang", seconds=1.0)]
+            ),
         )
         assert artifact_bytes(results) == sequential_artifacts
         stats = pipeline.last_metrics.backend_stats
@@ -90,7 +91,9 @@ class TestSpeculation:
         results = pipeline.run(
             executor="dist",
             backend_options=opts,
-            fault_plan=WorkerFaultPlan([WorkerHang("double", seconds=0.4)]),
+            fault_plan=WorkerFaultPlan(
+                [CrashPoint("worker", "task_start", "double", "hang", seconds=0.4)]
+            ),
         )
         assert artifact_bytes(results) == sequential_artifacts
         assert pipeline.last_metrics.backend_stats["speculations"] == 0
@@ -110,7 +113,7 @@ class TestPoisonQuarantine:
             backend_options=opts,
             on_error="keep_going",
             fault_plan=WorkerFaultPlan(
-                [WorkerKill("double", "task_start", count=len(STEP_NAMES))]
+                [CrashPoint("worker", "task_start", "double", "kill", count=len(STEP_NAMES))]
             ),
         )
         # gen and stats complete; double is poisoned; merge starves.
@@ -132,7 +135,7 @@ class TestPoisonQuarantine:
                 executor="dist",
                 backend_options=opts,
                 fault_plan=WorkerFaultPlan(
-                    [WorkerKill("double", "task_start", count=len(STEP_NAMES))]
+                    [CrashPoint("worker", "task_start", "double", "kill", count=len(STEP_NAMES))]
                 ),
             )
         assert_no_residue(tmp_path / "fleet")
@@ -151,7 +154,9 @@ class TestAllWorkersLost:
             executor="dist",
             backend_options=opts,
             on_error="keep_going",
-            fault_plan=WorkerFaultPlan([WorkerKill("gen", "task_start", count=2)]),
+            fault_plan=WorkerFaultPlan(
+                [CrashPoint("worker", "task_start", "gen", "kill", count=2)]
+            ),
         )
         assert results == {}
         stats = pipeline.last_metrics.backend_stats

@@ -67,6 +67,29 @@ class TestWorkerObs:
         assert not obs.flush()  # degraded, never raised
         assert not run_dir.exists()  # and never resurrected the run dir
 
+    def test_flush_racing_the_run_dir_sweep_leaves_no_residue(self, tmp_path, monkeypatch):
+        """A straggler's last flush lands after the coordinator's rmtree
+        has emptied ``obs/``: it must fail open, not survive the sweep."""
+        import os
+
+        from repro.dist.leases import cleanup_run_dir
+
+        run_dir = tmp_path / "cache" / ".dist" / "run1"
+        run_dir.mkdir(parents=True)
+        obs = WorkerObs(run_dir, "w1")
+        assert obs.flush()
+        real_rmdir, late = os.rmdir, []
+
+        def rmdir(*args, **kwargs):  # rmtree's first rmdir is the emptied obs/
+            if not late:
+                late.append(obs.flush())
+            return real_rmdir(*args, **kwargs)
+
+        monkeypatch.setattr(os, "rmdir", rmdir)
+        cleanup_run_dir(run_dir)
+        assert late == [False]  # the straggler's flush failed open
+        assert_no_residue(tmp_path)
+
     def test_torn_segment_skipped(self, tmp_path):
         obs_dir(tmp_path).mkdir()
         obs = WorkerObs(tmp_path, "w0")

@@ -11,22 +11,13 @@ the served artifact must render byte-identically to a pristine service
 in a fresh root fed the identical rows.
 """
 
-import multiprocessing
 import os
 import signal
-import time
 
 import pytest
 
 from repro.audit.digests import render_artifact
-from repro.core.faults import (
-    CrashPoint,
-    IngestCrashPoint,
-    WALKillSwitch,
-    JournalKillSwitch,
-    ingest_crash_coordinates,
-    serve_crash_coordinates,
-)
+from repro.core.faults import CrashPoint, KillSwitch, coordinates, crash_in_child
 from repro.serve import ServeConfig, StudyService
 
 CONFIG = dict(months=1, experiments=("X1",))
@@ -40,34 +31,17 @@ def _ingest_all(svc, lines):
     svc.ingest("sacct", sacct, batch="s0")
 
 
-def _reap(proc, timeout=60.0):
-    """Poll the child's exitcode (join would block on inherited pipes)."""
-    deadline = time.monotonic() + timeout
-    while proc.exitcode is None and time.monotonic() < deadline:
-        time.sleep(0.01)
-    if proc.exitcode is None:  # pragma: no cover - hung child safety net
-        proc.kill()
-        proc.join(5.0)
-    try:
-        os.killpg(proc.pid, signal.SIGKILL)
-    except (ProcessLookupError, PermissionError, OSError):
-        pass
-    return proc.exitcode
-
-
 def _crash_ingest_child(root, lines, point):  # pragma: no cover - SIGKILLed
-    os.setpgrp()
     svc = StudyService(root, ServeConfig(**CONFIG))
-    svc.wal.chaos = WALKillSwitch(point)
+    svc.wal.chaos = KillSwitch(point)
     _ingest_all(svc, lines)
     os.kill(os.getpid(), signal.SIGKILL)  # coordinate never matched: die anyway
 
 
 def _crash_refresh_child(root, lines, point):  # pragma: no cover - SIGKILLed
-    os.setpgrp()
     svc = StudyService(root, ServeConfig(**CONFIG))
     _ingest_all(svc, lines)
-    svc.journal_chaos = JournalKillSwitch(point)
+    svc.journal_chaos = KillSwitch(point)
     svc.refresh()
     os.kill(os.getpid(), signal.SIGKILL)  # coordinate never matched: die anyway
 
@@ -102,10 +76,7 @@ def clean_build(tmp_path_factory, study_lines):
 
 
 def _run_crashed(target, root, lines, point):
-    ctx = multiprocessing.get_context("fork")
-    proc = ctx.Process(target=target, args=(root, lines, point), daemon=False)
-    proc.start()
-    exitcode = _reap(proc)
+    exitcode = crash_in_child(target, root, lines, point)
     assert exitcode == -signal.SIGKILL, f"child exited {exitcode}, expected SIGKILL"
     return exitcode
 
@@ -113,8 +84,8 @@ def _run_crashed(target, root, lines, point):
 class TestKillMidIngest:
     @pytest.mark.parametrize(
         "point",
-        ingest_crash_coordinates(kinds=("responses", "sacct"), rows=(0, 3)),
-        ids=lambda p: f"{p.kind}-row{p.row}-{p.mode}",
+        coordinates("wal", nths=(0, 3)),
+        ids=lambda p: f"{p.event}-row{p.nth}-{p.mode}",
     )
     def test_sigkill_mid_ingest_converges_byte_identical(
         self, tmp_path, study_lines, clean_build, point
@@ -125,7 +96,7 @@ class TestKillMidIngest:
         assert rendered == clean_build[0]
 
     def test_torn_wal_tail_is_healed_on_restart(self, tmp_path, study_lines):
-        point = IngestCrashPoint(kind="responses", row=2, mode="torn")
+        point = CrashPoint("wal", "responses", mode="torn", nth=2)
         _run_crashed(_crash_ingest_child, tmp_path, study_lines, point)
         svc = StudyService(tmp_path, ServeConfig(**CONFIG))
         assert svc.wal.healed_bytes > 0  # the half-written record was dropped
@@ -136,7 +107,7 @@ class TestKillMidIngest:
 class TestKillMidRecompute:
     @pytest.mark.parametrize(
         "point",
-        serve_crash_coordinates(SERVE_STEPS),
+        coordinates("journal", SERVE_STEPS),
         ids=lambda p: f"{p.step}-{p.event}-{p.mode}",
     )
     def test_sigkill_mid_refresh_converges_byte_identical(
@@ -150,7 +121,7 @@ class TestKillMidRecompute:
     def test_resume_replays_the_completed_prefix(self, tmp_path, study_lines):
         # Crash after the study published: the restarted refresh must not
         # recompute the feeds (journal resume + cache replay carry them).
-        point = CrashPoint(step="study", event="step_done", mode="after")
+        point = CrashPoint("journal", "step_done", step="study", mode="after")
         _run_crashed(_crash_refresh_child, tmp_path, study_lines, point)
         svc = StudyService(tmp_path, ServeConfig(**CONFIG))
         _ingest_all(svc, study_lines)

@@ -4,11 +4,11 @@ read-only degradation, drain, and restart warm-up."""
 import pytest
 
 from repro.core.faults import (
+    DiskFull,
     FaultPlan,
     FaultSpec,
     PoisonRows,
     SkewedClock,
-    WALDiskFull,
 )
 from repro.serve import (
     ServeConfig,
@@ -216,7 +216,7 @@ class TestReadOnlyDegradation:
         responses, sacct = study_lines
         svc = make_service(tmp_path, study_lines)
         svc.refresh()
-        svc.wal.chaos = WALDiskFull(after_records=0)
+        svc.wal.chaos = DiskFull(after_records=0)
         with pytest.raises(ServiceReadOnly):
             svc.ingest("responses", ["{}"], batch="r9")
         assert svc.read_only and svc.mode == "read_only"
@@ -235,7 +235,7 @@ class TestReadOnlyDegradation:
     def test_restart_after_enospc_recovers(self, tmp_path, study_lines):
         svc = make_service(tmp_path, study_lines)
         svc.refresh()
-        svc.wal.chaos = WALDiskFull(after_records=0)
+        svc.wal.chaos = DiskFull(after_records=0)
         with pytest.raises(ServiceReadOnly):
             svc.ingest("responses", ["{}"], batch="r9")
         svc.close()

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.core.faults import DiskFull
 from repro.serve.wal import (
     IngestWAL,
     WALError,
@@ -172,12 +173,9 @@ class TestRecovery:
 
 class TestDegradation:
     def test_oserror_disables_the_wal(self, tmp_path):
-        def chaos(kind, data, fd):
-            raise OSError(28, "injected: no space left on device")
-
         with IngestWAL(tmp_path) as wal:
             wal.append("responses", ROWS[:2])
-            wal.chaos = chaos
+            wal.chaos = DiskFull()
             with pytest.raises(WALUnavailable):
                 wal.append("responses", ROWS[2:4])
             assert wal.unavailable
@@ -247,17 +245,9 @@ class TestSegmentBytes:
         assert chunks == {"responses": "1203:ea1adfcc3a356b10", "sacct": "209:c8f9057239fcc507"}
 
     def test_failed_batch_keeps_the_rows_handed_to_the_log(self, tmp_path):
-        calls = []
-
-        def chaos(kind, data, fd):
-            calls.append(data)
-            if len(calls) == 3:
-                raise OSError(28, "injected: no space left on device")
-            return False
-
         with IngestWAL(tmp_path / "failed") as wal:
             wal.append("responses", ROWS[:2], batch="b0")
-            wal.chaos = chaos
+            wal.chaos = DiskFull(after_records=2)
             with pytest.raises(WALUnavailable):
                 wal.append("responses", ROWS[2:], batch="b1")
             # The two records written before the failure stay in memory;
