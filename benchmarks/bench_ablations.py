@@ -4,7 +4,8 @@
 * EASY backfill on vs off in the scheduler;
 * Wilson (analytic) vs bootstrap proportion CIs;
 * pipeline artifact caching on vs off;
-* sequential vs parallel DAG execution and full-report fan-out.
+* sequential vs parallel DAG execution;
+* full-report regeneration in-process.
 """
 
 import os
@@ -168,26 +169,13 @@ def bench_ablation_pipeline_parallel(benchmark):
     assert "reduce" in out
 
 
-# -- full-report regeneration: sequential vs parallel fan-out -------------------------
+# -- full-report regeneration ----------------------------------------------------
 
 
 def bench_ablation_report_sequential(benchmark, study):
     artifacts = benchmark.pedantic(
         run_all_experiments,
         args=(study,),
-        kwargs={"max_workers": 1},
-        rounds=3,
-        iterations=1,
-    )
-    assert len(artifacts) >= 16
-
-
-def bench_ablation_report_parallel(benchmark, study):
-    workers = max(2, os.cpu_count() or 1)
-    artifacts = benchmark.pedantic(
-        run_all_experiments,
-        args=(study,),
-        kwargs={"max_workers": workers, "executor": "process"},
         rounds=3,
         iterations=1,
     )

@@ -15,14 +15,12 @@ This is the script behind EXPERIMENTS.md.
 """
 
 import json
-import os
 import sys
 import time
 from pathlib import Path
 
 from repro.core import build_default_study
-from repro.report import EXPERIMENTS, FigureSeries, figure_to_svg
-from repro.report.experiments import run_all_experiments_with_metrics
+from repro.report import EXPERIMENTS, FigureSeries, figure_to_svg, run_all_experiments
 
 
 def main() -> None:
@@ -42,12 +40,8 @@ def main() -> None:
           f"{len(study.responses)} responses, {len(study.telemetry)} jobs")
 
     t0 = time.time()
-    artifacts, metrics = run_all_experiments_with_metrics(
-        study, max_workers=os.cpu_count()
-    )
-    print(f"  all {len(artifacts)} experiments regenerated in {time.time() - t0:.1f}s "
-          f"({metrics.mode} executor, {metrics.max_workers} workers, "
-          f"{100.0 * metrics.worker_utilization():.0f}% utilization)\n")
+    artifacts = run_all_experiments(study)
+    print(f"  all {len(artifacts)} experiments regenerated in {time.time() - t0:.1f}s\n")
 
     for eid in sorted(artifacts):
         artifact = artifacts[eid]

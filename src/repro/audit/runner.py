@@ -21,6 +21,7 @@ keys (see :mod:`repro.audit.concordance`).
 
 from __future__ import annotations
 
+import signal
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -208,6 +209,14 @@ def _run_leg(
         run_id, crash_exitcode = run_until_crash(
             factory, journal_dir, _CRASH_POINT, run_kwargs=dict(run_kwargs)
         )
+        if crash_exitcode != -signal.SIGKILL:
+            # A kill that never fired would pass the leg as a plain
+            # warm-cache replay: the audit harness is broken, not the study.
+            raise RuntimeError(
+                f"crash-resume leg {leg.name!r}: the child was not killed at "
+                f"{_CRASH_POINT} (exit code {crash_exitcode}, expected "
+                f"{-signal.SIGKILL})"
+            )
         # ...half 2: resume it in-process from the journal. The audited
         # artifacts are the *resumed* run's — that is the whole point.
         pipeline = _build_pipeline(cache, leg, experiment_ids, study_kwargs)
@@ -293,6 +302,9 @@ def run_audit(
         When set, each leg's Perfetto trace is written there as
         ``<leg>.json`` (``normalize_traces`` mirrors the PR-5
         ``normalize=True`` determinism contract).
+
+    Raises :class:`RuntimeError` when a crash-resume leg's child was not
+    SIGKILLed at its crash coordinate: such a leg never tested recovery.
     """
     legs = list(matrix if matrix is not None else default_matrix())
     if not legs:

@@ -192,35 +192,27 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument(
         "--jobs",
         type=int,
-        default=None,
-        help="experiment fan-out worker count (default: all cores)",
-    )
-    rep.add_argument(
-        "--executor",
-        choices=("auto", "sequential", "thread", "process"),
-        default="auto",
-        help="how to fan experiments out (auto = process pool when possible)",
-    )
-    rep.add_argument(
-        "--backend",
-        choices=("auto", "dist"),
-        default="auto",
+        default=1,
         help=(
-            "execution backend: auto keeps the in-process executors; dist "
-            "runs the report DAG on a coordinator/worker fleet over the "
-            "shared cache directory (fault-tolerant, multi-process)"
+            "worker count (default 1: every step runs in this process; "
+            "N > 1 runs the report DAG on the --executor pool; the fleet "
+            "size for --executor dist)"
         ),
     )
     rep.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="fleet size for --backend dist (default: min(4, cores))",
+        "--executor",
+        choices=("auto", "sequential", "thread", "process", "dist"),
+        default="auto",
+        help=(
+            "the pool --jobs N runs the report DAG on (auto = processes when "
+            "every step pickles); dist runs it on a --jobs-worker "
+            "coordinator/worker fleet over a shared cache directory"
+        ),
     )
     rep.add_argument(
         "--timings",
         action="store_true",
-        help="print per-experiment executor timings after the report",
+        help="print per-step executor timings and outcomes after the report",
     )
     rep.add_argument(
         "--keep-going",
@@ -284,13 +276,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=None,
-        help="experiment fan-out worker count (default: all cores)",
+        help="report DAG worker count (default: all cores)",
     )
     trc.add_argument(
         "--executor",
         choices=("auto", "sequential", "thread", "process"),
         default="auto",
-        help="how to fan experiments out (auto = process pool when possible)",
+        help="the pool the report DAG runs on (auto = process pool when possible)",
     )
     trc.add_argument(
         "--out",
@@ -558,9 +550,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _build_study(args):
-    from repro.core import build_default_study
+    """The study ``repro report`` renders for the same arguments."""
+    from repro.core import run_cached_study
 
-    return build_default_study(
+    return run_cached_study(
+        max_workers=1,
         seed=args.seed,
         n_baseline=args.baseline,
         n_current=args.current,
@@ -785,26 +779,34 @@ EXIT_PARTIAL = 3
 EXIT_INTERRUPTED = 130
 
 
-def _pipeline_report(args, out) -> int:
-    """The pipeline-backed path of ``repro report``.
+def _cmd_report(args, out) -> int:
+    """``repro report``: run :func:`~repro.report.experiments.report_pipeline`
+    and render its outputs.
 
-    Taken when the invocation needs the DAG runner rather than the plain
-    in-process build: ``--durable DIR`` (journaled + cache-addressed,
-    resumable), ``--trace FILE`` (span-traced with a Perfetto export and
-    critical-path summary), and/or ``--backend dist`` (coordinator/worker
-    fleet over the shared cache directory). All three compose: a traced
-    durable dist run correlates its root span with the journal run id and
-    renders per-worker lanes in the Perfetto export. Fleet mode needs a
-    disk cache, so without ``--durable`` it runs against a throwaway
-    cache directory.
+    ``--jobs 1`` (the default) runs every step in this process;
+    ``--jobs N`` runs the DAG on the ``--executor`` pool, and ``--executor
+    dist`` on a ``--jobs``-worker fleet. The cache is in memory unless
+    ``--durable DIR`` roots a journaled, disk cache-addressed run there
+    (resumable with ``--resume``); ``--trace FILE`` exports the run's
+    spans. All of these compose: a traced durable dist run correlates its
+    root span with the journal run id and renders per-worker lanes in the
+    Perfetto export. Fleet mode needs a disk cache, so without
+    ``--durable`` it runs against a throwaway cache directory.
     """
     from repro.core.pipeline import ArtifactCache
     from repro.core.trace import Tracer, analyze_perfetto
     from repro.report.document import render_report
     from repro.report.experiments import report_pipeline
 
+    if args.jobs < 1:
+        print(f"error: --jobs must be >= 1, got {args.jobs}", file=out)
+        return 2
+    if args.resume is not None and args.durable is None:
+        print("error: --resume requires --durable DIR", file=out)
+        return 2
     journal = None
     resume_state = None
+    scratch = None
     if args.durable is not None:
         from repro.core.journal import (
             JournalError,
@@ -829,8 +831,7 @@ def _pipeline_report(args, out) -> int:
                 return 2
         cache = ArtifactCache(durable / "cache")
         journal = RunJournal.open(journal_dir)
-        scratch = None
-    elif args.backend == "dist":
+    elif args.executor == "dist":
         # Fleet workers coordinate through the cache filesystem, so the
         # in-memory default is not an option; a throwaway directory gives
         # ad-hoc dist runs somewhere to meet.
@@ -838,9 +839,6 @@ def _pipeline_report(args, out) -> int:
         cache = ArtifactCache(Path(scratch.name) / "cache")
     else:
         cache = ArtifactCache()
-        scratch = None
-    executor = "dist" if args.backend == "dist" else args.executor
-    max_workers = args.workers if args.backend == "dist" else args.jobs
     tracer = Tracer() if args.trace is not None else None
     pipeline = report_pipeline(
         cache,
@@ -853,8 +851,8 @@ def _pipeline_report(args, out) -> int:
     try:
         try:
             results, report = pipeline.run_with_report(
-                max_workers=max_workers,
-                executor=executor,
+                max_workers=args.jobs,
+                executor=args.executor,
                 on_error="keep_going" if args.keep_going else "raise",
                 journal=journal,
                 resume=resume_state,
@@ -903,9 +901,7 @@ def _pipeline_report(args, out) -> int:
     else:
         print(text, file=out)
     if args.timings:
-        metrics = pipeline.last_metrics
-        if metrics is not None:
-            print(metrics.render(), file=out)
+        print(pipeline.last_metrics.render(), file=out)
         print(report.render(), file=out)
     if tracer is not None:
         print(analyze_perfetto(tracer.to_perfetto()).render(), file=out)
@@ -913,54 +909,6 @@ def _pipeline_report(args, out) -> int:
         print(
             f"warning: report degraded — {len(failures)} experiment(s) failed: "
             f"{', '.join(sorted(failures))}",
-            file=out,
-        )
-        return EXIT_PARTIAL
-    return 0
-
-
-def _cmd_report(args, out) -> int:
-    from repro.report.document import build_report
-
-    if args.jobs is not None and args.jobs < 1:
-        print(f"error: --jobs must be >= 1, got {args.jobs}", file=out)
-        return 2
-    if args.workers is not None and args.workers < 1:
-        print(f"error: --workers must be >= 1, got {args.workers}", file=out)
-        return 2
-    if args.workers is not None and args.backend != "dist":
-        print("error: --workers requires --backend dist", file=out)
-        return 2
-    if args.resume is not None and args.durable is None:
-        print("error: --resume requires --durable DIR", file=out)
-        return 2
-    if args.durable is not None or args.trace is not None or args.backend == "dist":
-        return _pipeline_report(args, out)
-    study = _build_study(args)
-    metrics_sink = []
-    text = build_report(
-        study,
-        max_workers=args.jobs,
-        executor=args.executor,
-        on_error="keep_going" if args.keep_going else "raise",
-        metrics_out=metrics_sink,
-    )
-    if args.out is not None:
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(f"wrote report to {args.out}", file=out)
-    else:
-        print(text, file=out)
-    if args.timings:
-        if metrics_sink:
-            print(metrics_sink[0].render(), file=out)
-            print(metrics_sink[0].run_report.render(), file=out)
-        else:
-            print("no executor timings recorded", file=out)
-    failed = [m.name for m in metrics_sink[0].steps if m.outcome == "failed"] if metrics_sink else []
-    if failed:
-        print(
-            f"warning: report degraded — {len(failed)} experiment(s) failed: "
-            f"{', '.join(sorted(failed))}",
             file=out,
         )
         return EXIT_PARTIAL

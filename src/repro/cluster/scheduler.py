@@ -161,9 +161,6 @@ class _PartitionSim:
             self.allocator.release_batch([item[4] for item in running[:cut]])
         del running[:cut]
 
-    def next_completion(self) -> float | None:
-        return self.running[0][0] if self.running else None
-
     # -- scheduling ---------------------------------------------------------
 
     def _order_pending(self, now: float) -> None:

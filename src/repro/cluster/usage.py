@@ -35,16 +35,6 @@ __all__ = [
 MONTH_SECONDS = 30.0 * 86400.0
 
 
-def _factorize(values: np.ndarray) -> tuple[np.ndarray, list[str]]:
-    """Integer codes plus sorted unique labels for an object column.
-
-    Prefer :meth:`JobTable.factorize` for table columns — it caches the
-    codes per table; this helper remains for free-standing arrays.
-    """
-    labels, codes = np.unique(values.astype(str), return_inverse=True)
-    return codes, labels.tolist()
-
-
 def _month_index(times: np.ndarray) -> np.ndarray:
     return np.floor_divide(times, MONTH_SECONDS).astype(np.int64)
 

@@ -10,9 +10,8 @@
 * :mod:`repro.core.pipeline` — reproducible generate/validate/analyze
   dependency DAG with content-addressed artifact caching and parallel
   (thread/process pool) execution;
-* :mod:`repro.core.metrics` — executor instrumentation
-  (:class:`ExecutorMetrics`, :class:`RunReport`) shared by the pipeline and
-  the report fan-out;
+* :mod:`repro.core.metrics` — the pipeline's executor instrumentation
+  (:class:`ExecutorMetrics`, :class:`RunReport`);
 * :mod:`repro.core.faults` — deterministic fault injection
   (:class:`FaultPlan`) and the process-crash harness for chaos-testing the
   pipeline;

@@ -945,7 +945,7 @@ def run_benchmarks(
                 months=sc.months,
                 jobs_per_day=200.0,
             )
-            build_report(study, executor="sequential")
+            build_report(study)
 
         # memory=False: the extra tracemalloc pass would double the one
         # unit that already dwarfs everything else; max_rss_kb still lands.

@@ -1,11 +1,12 @@
-"""Executor instrumentation for the DAG pipeline and the experiment fan-out.
+"""Executor instrumentation for the DAG pipeline.
 
-Every parallel entry point (:meth:`repro.core.Pipeline.run`,
-:func:`repro.report.run_all_experiments`) records what actually happened —
-which units ran vs came from cache, how long each took, and how busy the
-worker pool was — into an :class:`ExecutorMetrics`. The golden-artifact
-suite guarantees parallel output is byte-identical to sequential output, so
-these metrics are the only observable difference between the two modes.
+:meth:`repro.core.Pipeline.run` records what actually happened — which
+steps ran vs came from cache, how long each took, and how busy the worker
+pool was — into an :class:`ExecutorMetrics`, one :class:`StepMetric` per
+step written by the run's single settle path. The audit and the
+executor suites guarantee parallel output is byte-identical to sequential
+output, so these metrics are the only observable difference between the
+executor modes.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ class StepMetric:
     Attributes
     ----------
     name:
-        Step name (pipeline) or experiment id (report fan-out).
+        Step name.
     key:
         Content-address of the unit's artifact ("" when uncached).
     cached:
@@ -216,26 +217,6 @@ class ExecutorMetrics:
     #: quarantined steps, dead workers, publish audit). None for the
     #: in-process executors.
     backend_stats: dict[str, Any] | None = None
-
-    def record(
-        self,
-        name: str,
-        key: str,
-        cached: bool,
-        wall_seconds: float,
-        outcome: str = "ok",
-        attempts: int = 1,
-        error: str = "",
-        cache_unavailable: bool = False,
-        queue_seconds: float = 0.0,
-        compute_seconds: float | None = None,
-    ) -> None:
-        self.steps.append(
-            StepMetric(
-                name, key, cached, wall_seconds, outcome, attempts, error,
-                cache_unavailable, queue_seconds, compute_seconds,
-            )
-        )
 
     @property
     def run_report(self) -> RunReport:

@@ -79,7 +79,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
 
 from repro.core import shm
 from repro.core.logging import get_logger, kv, set_run_id
-from repro.core.metrics import ExecutorMetrics, RunReport
+from repro.core.metrics import ExecutorMetrics, RunReport, StepMetric
 from repro.core.trace import Tracer, activate as _activate_trace, instant as _trace_instant
 from repro.core.trace import resource_probe
 from repro.io.locks import FileLock
@@ -958,10 +958,12 @@ class _Run:
         failed = outcome in ("failed", "timeout")
         if failed:
             _log.warning(kv("step.failed", step=name, status=outcome, attempts=attempts))
-        self.metrics.record(
-            name, key, outcome == "cached", wall, outcome=outcome,
-            attempts=attempts, error=error, cache_unavailable=cache_unavailable,
-            queue_seconds=queue, compute_seconds=compute,
+        self.metrics.steps.append(
+            StepMetric(
+                name, key, outcome == "cached", wall, outcome=outcome,
+                attempts=attempts, error=error, cache_unavailable=cache_unavailable,
+                queue_seconds=queue, compute_seconds=compute,
+            )
         )
         tracer = self.tracer
         if tracer is not None:

@@ -11,9 +11,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.analysis.quality import quality_report
-from repro.core.metrics import ExecutorMetrics
 from repro.core.study import Study
-from repro.report.experiments import EXPERIMENTS, run_all_experiments_with_metrics
+from repro.report.experiments import EXPERIMENTS, run_all_experiments
 from repro.report.figures import FigureSeries
 from repro.report.tables import Table, fmt_p, fmt_pct
 
@@ -110,36 +109,14 @@ def _placeholder_block(eid: str, error: str) -> list[str]:
     ]
 
 
-def build_report(
-    study: Study,
-    include_quality_appendix: bool = True,
-    *,
-    max_workers: int | None = None,
-    executor: str = "auto",
-    on_error: str = "raise",
-    metrics_out: list[ExecutorMetrics] | None = None,
-) -> str:
+def build_report(study: Study, include_quality_appendix: bool = True) -> str:
     """Render the full study report as markdown.
 
-    Artifact regeneration fans out over the experiment executor
-    (``max_workers`` defaults to ``os.cpu_count()``); the document itself
-    is assembled in registry order, so the rendered markdown is identical
-    for every executor mode. Pass a list as ``metrics_out`` to receive the
-    executor's :class:`~repro.core.metrics.ExecutorMetrics`.
-
-    With ``on_error="keep_going"`` a failing experiment no longer aborts
-    the document: its section renders as a clearly-marked placeholder
-    carrying the captured error, and the inspectable failure list lands in
-    the metrics (``metrics.steps_failed``, per-step ``outcome``/``error``).
+    Runs every experiment in this process (:func:`run_all_experiments`)
+    and assembles the document in registry order.
     """
-    artifacts, metrics = run_all_experiments_with_metrics(
-        study, max_workers=max_workers, executor=executor, on_error=on_error
-    )
-    if metrics_out is not None:
-        metrics_out.append(metrics)
-    failures = {m.name: m.error for m in metrics.steps if m.outcome == "failed"}
     return render_report(
-        study, artifacts, failures,
+        study, run_all_experiments(study),
         include_quality_appendix=include_quality_appendix,
     )
 
@@ -153,12 +130,12 @@ def render_report(
 ) -> str:
     """Assemble the markdown document from already-produced artifacts.
 
-    The rendering half of :func:`build_report`, split out so the durable
-    path (``repro report --durable`` running
-    :func:`repro.report.experiments.report_pipeline`) can render from
-    pipeline outputs — including artifacts replayed from journal + cache
-    on ``--resume`` — and produce a document byte-identical to the
-    in-process path.
+    The rendering half of :func:`build_report`. ``repro report`` renders
+    the outputs of :func:`repro.report.experiments.report_pipeline` with
+    it — including artifacts replayed from journal + cache on
+    ``--resume``. ``failures`` maps an experiment id to its captured
+    error; each renders as a placeholder section under a ``DEGRADED
+    REPORT`` banner (``repro report --keep-going``).
     """
     failures = failures or {}
     lines = _front_matter(study)

@@ -8,10 +8,6 @@ EXPERIMENTS.md. Ids follow DESIGN.md: T1-T8 tables, F1-F8 figures.
 
 from __future__ import annotations
 
-import os
-import pickle
-import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Union
 
@@ -37,7 +33,6 @@ from repro.analysis.telemetry import (
 )
 from repro.analysis.training import training_summary
 from repro.cluster.partitions import DEFAULT_CLUSTER
-from repro.core.metrics import ExecutorMetrics
 from repro.core.study import Study, study_parts
 from repro.core.trends import TrendRow
 from repro.report.figures import FigureSeries
@@ -50,7 +45,6 @@ __all__ = [
     "EXPERIMENTS",
     "run_experiment",
     "run_all_experiments",
-    "run_all_experiments_with_metrics",
     "report_pipeline",
 ]
 
@@ -524,156 +518,15 @@ def run_experiment(experiment_id: str, study: Study) -> Artifact:
     return experiment.fn(study)
 
 
-def _run_experiment_chunk(
-    ids: tuple[str, ...], study: Study, on_error: str = "raise"
-) -> dict[str, tuple[str, object]]:
-    """Worker-side body of the process fan-out: run a slice of the registry.
+def run_all_experiments(study: Study) -> dict[str, Artifact]:
+    """Regenerate every artifact in this process, keyed by experiment id
+    (sorted order).
 
-    The study pickles over once per worker (not once per experiment); the
-    extensions import re-registers X1..X10 in the fresh interpreter.
-    Returns ``{id: ("ok", artifact)}`` entries; with ``on_error=
-    "keep_going"`` a failing experiment becomes ``("failed", repr(exc))``
-    instead of poisoning the whole chunk.
+    The library's one-call loop over :func:`run_experiment`. Parallel,
+    durable, traced and fleet builds run the same experiments as steps of
+    :func:`report_pipeline` on :meth:`repro.core.pipeline.Pipeline.run`.
     """
-    import repro.report.extensions  # noqa: F401  (registers X* in the worker)
-
-    out: dict[str, tuple[str, object]] = {}
-    for eid in ids:
-        if on_error == "keep_going":
-            try:
-                out[eid] = ("ok", EXPERIMENTS[eid].fn(study))
-            except Exception as exc:
-                out[eid] = ("failed", repr(exc))
-        else:
-            out[eid] = ("ok", EXPERIMENTS[eid].fn(study))
-    return out
-
-
-def _resolve_fanout(executor: str, max_workers: int | None, study: Study, n: int) -> tuple[str, int]:
-    if executor not in ("auto", "sequential", "thread", "process"):
-        raise ValueError(f"unknown executor {executor!r}")
-    workers = max_workers if max_workers is not None else (os.cpu_count() or 1)
-    if workers < 1:
-        raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-    workers = min(workers, n)
-    if executor == "sequential" or workers <= 1:
-        return "sequential", 1
-    if executor == "auto":
-        try:
-            pickle.dumps(study, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception:
-            return "thread", workers
-        return "process", workers
-    return executor, workers
-
-
-def run_all_experiments_with_metrics(
-    study: Study,
-    max_workers: int | None = None,
-    executor: str = "auto",
-    on_error: str = "raise",
-) -> tuple[dict[str, Artifact], ExecutorMetrics]:
-    """Regenerate every artifact plus the executor's timing record.
-
-    Every registered experiment is a pure function of the study, so the
-    whole registry fans out over a process pool (``executor="process"`` /
-    ``"auto"``), a thread pool (``"thread"``), or runs inline
-    (``"sequential"`` or ``max_workers=1``). Output is identical across
-    modes — the golden-artifact suite enforces byte-equality — and the
-    returned dict is always keyed in sorted-id order.
-
-    ``on_error="keep_going"`` degrades gracefully instead of aborting: a
-    failing experiment is dropped from the returned dict and recorded in
-    the metrics with ``outcome="failed"`` and the captured error, so
-    :func:`repro.report.document.build_report` can render a placeholder
-    section for exactly the failed ids.
-    """
-    if on_error not in ("raise", "keep_going"):
-        raise ValueError(f"unknown on_error {on_error!r}")
-    ids = sorted(EXPERIMENTS)
-    mode, workers = _resolve_fanout(executor, max_workers, study, len(ids))
-    metrics = ExecutorMetrics(mode=mode, max_workers=workers)
-    t0 = time.perf_counter()
-    artifacts: dict[str, Artifact] = {}
-
-    def run_one(eid: str) -> Artifact | None:
-        """Run one experiment inline, recording its metric; None on failure."""
-        # Every experiment is ready at t0 (they all depend only on the
-        # study), so time spent before starting is pure queue wait.
-        started = time.perf_counter()
-        try:
-            artifact = EXPERIMENTS[eid].fn(study)
-        except Exception as exc:
-            if on_error == "raise":
-                raise
-            finished = time.perf_counter()
-            metrics.record(
-                eid, "", False, finished - started,
-                outcome="failed", error=repr(exc),
-                queue_seconds=started - t0, compute_seconds=finished - started,
-            )
-            return None
-        finished = time.perf_counter()
-        metrics.record(
-            eid, "", False, finished - started,
-            queue_seconds=started - t0, compute_seconds=finished - started,
-        )
-        return artifact
-
-    if mode == "sequential":
-        for eid in ids:
-            artifact = run_one(eid)
-            if artifact is not None:
-                artifacts[eid] = artifact
-    elif mode == "thread":
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            artifacts = {
-                eid: artifact
-                for eid, artifact in zip(ids, pool.map(run_one, ids))
-                if artifact is not None
-            }
-    else:
-        # Round-robin chunks balance the slow table/figure mix across
-        # workers while shipping the study to each worker exactly once.
-        chunks = [tuple(ids[i::workers]) for i in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            started = time.perf_counter()
-            for chunk, result in zip(
-                chunks,
-                pool.map(
-                    _run_experiment_chunk,
-                    chunks,
-                    [study] * len(chunks),
-                    [on_error] * len(chunks),
-                ),
-            ):
-                finished = time.perf_counter()
-                share = (finished - started) / max(len(chunk), 1)
-                for eid in chunk:
-                    status, payload = result[eid]
-                    if status == "ok":
-                        artifacts[eid] = payload
-                        metrics.record(eid, "", False, share)
-                    else:
-                        metrics.record(
-                            eid, "", False, share, outcome="failed", error=str(payload)
-                        )
-        artifacts = {eid: artifacts[eid] for eid in ids if eid in artifacts}
-    metrics.wall_seconds = time.perf_counter() - t0
-    return artifacts, metrics
-
-
-def run_all_experiments(
-    study: Study,
-    max_workers: int | None = None,
-    executor: str = "auto",
-    on_error: str = "raise",
-) -> dict[str, Artifact]:
-    """Regenerate every artifact, keyed by experiment id (sorted order)."""
-    artifacts, _ = run_all_experiments_with_metrics(
-        study, max_workers=max_workers, executor=executor, on_error=on_error
-    )
-    return artifacts
+    return {eid: run_experiment(eid, study) for eid in sorted(EXPERIMENTS)}
 
 
 # -- the durable report pipeline ----------------------------------------------
@@ -754,12 +607,12 @@ def report_pipeline(
     timeout: float | None = None,
     **study_kwargs,
 ):
-    """Build the full durable report pipeline: study stages + experiments.
+    """Build the full report pipeline: study stages + experiments.
 
     Extends :func:`repro.core.study_pipeline.study_pipeline` with one
-    ``exp:<id>`` step per registered experiment, so ``repro report
-    --durable`` can run the entire report as a journaled, cache-addressed
-    DAG and ``--resume`` can recover it after a crash: completed
+    ``exp:<id>`` step per registered experiment. ``repro report`` always
+    runs this DAG; with ``--durable`` it is journaled against a disk
+    cache, and ``--resume`` can recover it after a crash: completed
     experiments replay from the cache, only the in-flight frontier
     re-executes. Each experiment step depends only on the stage holding
     the parts it reads — ``survey`` for responses, ``schedule`` for

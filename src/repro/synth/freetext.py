@@ -91,13 +91,6 @@ class FreeTextTemplates:
     def _fallback_tool(self) -> str:
         return max(self.tool_probs, key=self.tool_probs.get)
 
-    def _mention_probability(self, tool: str, ctx: RespondentContext) -> float:
-        p = min(max(self.tool_probs[tool], 1e-9), 1 - 1e-9)
-        logit = math.log(p / (1 - p))
-        for trait, w in self.tool_loadings.get(tool, {}).items():
-            logit += w * ctx.centered_trait(trait)
-        return 1.0 / (1.0 + math.exp(-logit))
-
     def _decorate(self, tool: str, rng: np.random.Generator) -> str:
         if rng.random() >= self.mention_decorations:
             return tool

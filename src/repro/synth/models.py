@@ -80,10 +80,6 @@ def _sigmoid(x: float) -> float:
     return e / (1.0 + e)
 
 
-def _shift(ctx: RespondentContext, loadings: Mapping[str, float]) -> float:
-    return sum(w * ctx.centered_trait(t) for t, w in loadings.items())
-
-
 class ResponseModel:
     """Interface: sample an answer value for one respondent."""
 

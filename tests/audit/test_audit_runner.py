@@ -18,7 +18,14 @@ import signal
 
 import pytest
 
-from repro.audit import Perturbation, default_matrix, run_audit, select_matrix
+from repro.audit import (
+    QUICK_SCALE,
+    Perturbation,
+    default_matrix,
+    run_audit,
+    select_matrix,
+)
+from repro.core.faults import CrashPoint
 from repro.report.document import render_report_card
 from repro.synth.scenario import DRIFT_SCENARIOS
 
@@ -67,6 +74,25 @@ class TestCleanStudyConcordance:
         assert {t.step for t in clean_report.timings} == {
             s.step for s in clean_report.steps
         }
+
+
+class TestCrashLegMustCrash:
+    def test_unfired_kill_raises(self, monkeypatch):
+        # A coordinate that never matches lets the child finish (exit 0);
+        # the leg must not pass that off as a crash it recovered from.
+        import repro.audit.runner as runner
+
+        monkeypatch.setattr(
+            runner,
+            "_CRASH_POINT",
+            CrashPoint("journal", "step_start", step="no-such-step", mode="before"),
+        )
+        with pytest.raises(RuntimeError, match=r"no-such-step.*exit code 0"):
+            run_audit(
+                matrix=select_matrix(["crash-resume"]),
+                experiment_ids=["T1"],
+                study_kwargs=QUICK_SCALE,
+            )
 
 
 class TestPlantedDriftLocalization:

@@ -1,5 +1,5 @@
-"""CLI surface of fleet mode: the ``repro worker`` join command, the
-``--backend dist`` flags on ``repro report``, and exit-code conventions."""
+"""CLI surface of fleet mode: the ``repro worker`` join command,
+``repro report --executor dist``, and exit-code conventions."""
 
 import subprocess
 import sys
@@ -114,17 +114,10 @@ def _pythonpath_env():
 
 
 class TestReportFlags:
-    def test_workers_requires_dist_backend(self):
-        code, output = _run_cli("report", "--workers", "2")
-        assert code == 2
-        assert "--backend dist" in output
-
     def test_workers_must_be_positive(self):
-        code, output = _run_cli(
-            "report", "--backend", "dist", "--workers", "0"
-        )
+        code, output = _run_cli("report", "--executor", "dist", "--jobs", "0")
         assert code == 2
-        assert "--workers" in output
+        assert "--jobs" in output
 
     def test_bench_exposes_dist_overhead_gate(self):
         # The dist gate's limit lives in the gate table, not in a flag.

@@ -1,6 +1,7 @@
 """Tests for the report document generator and the CLI."""
 
 import io
+import re
 
 import pytest
 
@@ -39,6 +40,11 @@ def run_cli(*argv):
     out = io.StringIO()
     code = main(list(argv), out=out)
     return code, out.getvalue()
+
+
+# The smallest study every experiment renders at under these seeds.
+REPORT_SMALL = ("--seed", "3", "--baseline", "60", "--current", "80",
+                "--months", "3", "--jobs-per-day", "60")
 
 
 class TestCli:
@@ -87,11 +93,9 @@ class TestCli:
 
     def test_report_to_file(self, tmp_path):
         out_path = tmp_path / "report.md"
-        # F5 (GPU growth) needs at least 3 telemetry months.
-        code, text = run_cli(
-            "report", "--seed", "3", "--baseline", "30", "--current", "40",
-            "--months", "3", "--jobs-per-day", "40", "--out", str(out_path),
-        )
+        # F5 (GPU growth) needs at least 3 telemetry months, and F8 at
+        # least 3 fields present in both sources.
+        code, text = run_cli("report", *REPORT_SMALL, "--out", str(out_path))
         assert code == 0
         assert out_path.exists()
         assert "## Results" in out_path.read_text()
@@ -117,6 +121,40 @@ class TestCli:
         run_cli("generate", *self.SMALL, "--out", str(tmp_path))
         table = parse_sacct(tmp_path / "accounting.sacct")
         assert len(table) > 100
+
+
+class TestOneSeedOneReport:
+    """A seed names one study, whatever runs or records the build."""
+
+    @pytest.fixture(scope="class")
+    def plain(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("plain") / "report.md"
+        code, _ = run_cli("report", *REPORT_SMALL, "--out", str(path))
+        assert code == 0
+        return path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--trace", "{tmp}/trace.json"),
+            ("--durable", "{tmp}/state"),
+            ("--executor", "process", "--jobs", "2"),
+            ("--executor", "thread", "--jobs", "2"),
+        ],
+        ids=["trace", "durable", "process", "thread"],
+    )
+    def test_report_byte_identical(self, plain, tmp_path, flags):
+        path = tmp_path / "report.md"
+        flags = [flag.format(tmp=tmp_path) for flag in flags]
+        code, _ = run_cli("report", *REPORT_SMALL, *flags, "--out", str(path))
+        assert code == 0
+        assert path.read_bytes() == plain
+
+    def test_generate_writes_the_reported_study(self, plain, tmp_path):
+        code, text = run_cli("generate", *REPORT_SMALL, "--out", str(tmp_path))
+        assert code == 0
+        (jobs,) = re.findall(r"wrote (\d+) job records", text)
+        assert f"* telemetry: {jobs} jobs over 3 months" in plain.decode()
 
 
 class TestExperimentsListing:

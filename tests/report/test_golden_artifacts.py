@@ -4,8 +4,8 @@ Regenerates every registered experiment from the same full-scale seeded
 study that produced the checked-in ``artifacts/`` renderings (see
 ``examples/full_reproduction.py``) and asserts the text output matches
 byte-for-byte. This pins the entire analysis stack — synthesis, scheduler
-simulation, statistics, rendering — to a known-good output, so the parallel
-executors (or any refactor) can never silently change results.
+simulation, statistics, rendering — to a known-good output, so no refactor
+can silently change results.
 
 The comparison itself lives in :mod:`repro.audit.digests`
 (``render_artifact``/``load_golden``/``compare_to_goldens``) and is shared
@@ -39,7 +39,7 @@ def full_study():
 
 @pytest.fixture(scope="module")
 def sequential_artifacts(full_study):
-    return run_all_experiments(full_study, max_workers=1)
+    return run_all_experiments(full_study)
 
 
 def test_goldens_exist_for_every_experiment():
@@ -68,18 +68,3 @@ def test_compare_to_goldens_matches_per_id_checks(sequential_artifacts):
     assert sorted(results) == GOLDEN_IDS
     assert all(results.values()), [eid for eid, ok in results.items() if not ok]
 
-
-def _rendered(artifacts):
-    return {eid: artifact.render_ascii() for eid, artifact in artifacts.items()}
-
-
-def test_thread_executor_byte_identical(full_study, sequential_artifacts):
-    parallel = run_all_experiments(full_study, max_workers=4, executor="thread")
-    assert list(parallel) == list(sequential_artifacts)
-    assert _rendered(parallel) == _rendered(sequential_artifacts)
-
-
-def test_process_executor_byte_identical(full_study, sequential_artifacts):
-    parallel = run_all_experiments(full_study, max_workers=2, executor="process")
-    assert list(parallel) == list(sequential_artifacts)
-    assert _rendered(parallel) == _rendered(sequential_artifacts)

@@ -95,7 +95,9 @@ class TestResumeValidation:
 
 
 class TestKeyboardInterrupt:
-    def test_durable_report_flushes_and_hints(self, tmp_path, monkeypatch):
+    @pytest.fixture()
+    def interrupted_pipeline(self, monkeypatch):
+        """``report_pipeline`` returns a pipeline whose run is Ctrl-C'd."""
         import repro.report.experiments as experiments
 
         class InterruptedPipeline:
@@ -105,22 +107,19 @@ class TestKeyboardInterrupt:
         monkeypatch.setattr(
             experiments, "report_pipeline", lambda *a, **k: InterruptedPipeline()
         )
+
+    def test_durable_report_flushes_and_hints(self, tmp_path, interrupted_pipeline):
         code, text = run_cli(
             "report", *SMALL, "--durable", str(tmp_path / "state")
         )
         assert code == EXIT_INTERRUPTED == 130
         assert "interrupted — resume with --resume" in text
 
-    def test_plain_report_exits_130(self, monkeypatch):
-        import repro.report.document as document
-
-        def interrupted(*a, **k):
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(document, "build_report", interrupted)
+    def test_plain_report_exits_130(self, interrupted_pipeline):
         code, text = run_cli("report", *SMALL)
         assert code == EXIT_INTERRUPTED
         assert "interrupted" in text
+        assert "--resume" not in text  # nothing journaled to resume
 
     def test_bench_exits_130(self, monkeypatch):
         import repro.core.bench as bench

@@ -24,6 +24,11 @@ CONFIG = dict(months=1, experiments=("X1",))
 
 SERVE_STEPS = ("responses", "telemetry", "study", "exp:X1")
 
+# Exit codes of a child whose kill switch never fired; distinct from
+# -SIGKILL, so _run_crashed fails a coordinate that no longer matches.
+INGEST_UNMATCHED = 101
+REFRESH_UNMATCHED = 102
+
 
 def _ingest_all(svc, lines):
     responses, sacct = lines
@@ -35,7 +40,7 @@ def _crash_ingest_child(root, lines, point):  # pragma: no cover - SIGKILLed
     svc = StudyService(root, ServeConfig(**CONFIG))
     svc.wal.chaos = KillSwitch(point)
     _ingest_all(svc, lines)
-    os.kill(os.getpid(), signal.SIGKILL)  # coordinate never matched: die anyway
+    os._exit(INGEST_UNMATCHED)
 
 
 def _crash_refresh_child(root, lines, point):  # pragma: no cover - SIGKILLed
@@ -43,7 +48,7 @@ def _crash_refresh_child(root, lines, point):  # pragma: no cover - SIGKILLed
     _ingest_all(svc, lines)
     svc.journal_chaos = KillSwitch(point)
     svc.refresh()
-    os.kill(os.getpid(), signal.SIGKILL)  # coordinate never matched: die anyway
+    os._exit(REFRESH_UNMATCHED)
 
 
 def _converge(root, lines):
