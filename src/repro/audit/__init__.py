@@ -22,13 +22,14 @@ from repro.audit.concordance import (
 )
 from repro.audit.digests import (
     DIGEST_LEN,
+    GOLDEN_STUDY,
     NON_ARTIFACT_SUFFIXES,
     artifact_digest,
+    artifact_files,
     blob_digest,
     cache_digests,
     compare_to_goldens,
     golden_ids,
-    load_golden,
     render_artifact,
     structural_digest,
     text_digest,
@@ -49,13 +50,14 @@ __all__ = [
     "TimingDelta",
     "build_concordance_report",
     "DIGEST_LEN",
+    "GOLDEN_STUDY",
     "NON_ARTIFACT_SUFFIXES",
     "artifact_digest",
+    "artifact_files",
     "blob_digest",
     "cache_digests",
     "compare_to_goldens",
     "golden_ids",
-    "load_golden",
     "render_artifact",
     "structural_digest",
     "text_digest",

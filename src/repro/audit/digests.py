@@ -28,19 +28,21 @@ a concurrent audit must never hash lock metadata as an artifact.
 from __future__ import annotations
 
 import hashlib
+import json
 import pickle
 from pathlib import Path
 from typing import Any, Mapping
 
 __all__ = [
+    "GOLDEN_STUDY",
     "render_artifact",
+    "artifact_files",
     "artifact_digest",
     "text_digest",
     "structural_digest",
     "blob_digest",
     "cache_digests",
     "golden_ids",
-    "load_golden",
     "compare_to_goldens",
 ]
 
@@ -53,6 +55,18 @@ DIGEST_LEN = 16
 NON_ARTIFACT_SUFFIXES = (".lock", ".tmp")
 
 
+#: The study the committed ``artifacts/`` goldens are rendered from:
+#: ``build_default_study(**GOLDEN_STUDY)``. ``examples/full_reproduction.py``
+#: writes them and the golden suite checks them, both at these arguments.
+GOLDEN_STUDY: Mapping[str, Any] = {
+    "seed": 888,
+    "n_baseline": 120,  # the 2011 survey interviewed ~114 researchers
+    "n_current": 300,  # the revisit wave is larger (online instrument)
+    "months": 24,
+    "jobs_per_day": 450.0,
+}
+
+
 def render_artifact(artifact: Any) -> str:
     """The canonical byte form of one experiment artifact.
 
@@ -62,6 +76,23 @@ def render_artifact(artifact: Any) -> str:
     goes through this one function.
     """
     return artifact.render_ascii() + "\n"
+
+
+def artifact_files(experiment_id: str, artifact: Any) -> dict[str, str]:
+    """Every file one experiment artifact is committed as: ``{name: text}``.
+
+    ``<id>.txt`` is :func:`render_artifact`; a figure also has its data
+    as ``<id>.json`` and a standalone plot as ``<id>.svg``. This is what
+    ``examples/full_reproduction.py`` writes and what the golden suite
+    compares, file for file.
+    """
+    from repro.report import FigureSeries, figure_to_svg  # local: avoid cycle at import
+
+    files = {f"{experiment_id}.txt": render_artifact(artifact)}
+    if isinstance(artifact, FigureSeries):
+        files[f"{experiment_id}.json"] = json.dumps(artifact.to_dict(), indent=2)
+        files[f"{experiment_id}.svg"] = figure_to_svg(artifact)
+    return files
 
 
 def text_digest(text: str) -> str:
@@ -154,24 +185,25 @@ def golden_ids(artifact_dir: str | Path) -> list[str]:
     return sorted(p.stem for p in Path(artifact_dir).glob("*.txt"))
 
 
-def load_golden(artifact_dir: str | Path, experiment_id: str) -> str:
-    """The committed golden text for one experiment."""
-    return (Path(artifact_dir) / f"{experiment_id}.txt").read_text(encoding="utf-8")
-
-
 def compare_to_goldens(
     artifacts: Mapping[str, Any], artifact_dir: str | Path
 ) -> dict[str, bool]:
     """Byte-compare regenerated artifacts against the committed goldens.
 
     Returns ``{experiment_id: matched}`` for every golden id present in
-    ``artifacts``; ids without a regenerated artifact are omitted (the
-    golden suite asserts registry/golden set equality separately).
+    ``artifacts``, matched when every file of :func:`artifact_files` is
+    committed with the same bytes; ids without a regenerated artifact are
+    omitted (the golden suite asserts registry/golden set equality
+    separately).
     """
+    root = Path(artifact_dir)
     results: dict[str, bool] = {}
-    for eid in golden_ids(artifact_dir):
+    for eid in golden_ids(root):
         artifact = artifacts.get(eid)
         if artifact is None:
             continue
-        results[eid] = render_artifact(artifact) == load_golden(artifact_dir, eid)
+        results[eid] = all(
+            (root / name).is_file() and (root / name).read_text(encoding="utf-8") == text
+            for name, text in artifact_files(eid, artifact).items()
+        )
     return results

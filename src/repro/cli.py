@@ -338,11 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", type=Path, default=None, help="BENCH_*.json file to append the run to"
     )
     ben.add_argument(
-        "--no-end-to-end",
-        action="store_true",
-        help="skip the study-build + report end-to-end timing",
-    )
-    ben.add_argument(
         "--check",
         type=Path,
         default=None,
@@ -549,18 +544,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_study(args):
-    """The study ``repro report`` renders for the same arguments."""
-    from repro.core import run_cached_study
-
-    return run_cached_study(
-        max_workers=1,
+def _study_args(args) -> dict:
+    """The study a command's ``--seed`` and size flags name, as keywords."""
+    return dict(
         seed=args.seed,
         n_baseline=args.baseline,
         n_current=args.current,
         months=args.months,
         jobs_per_day=args.jobs_per_day,
     )
+
+
+def _build_study(args):
+    """The study ``repro report`` renders for the same arguments."""
+    from repro.core import build_default_study
+
+    return build_default_study(**_study_args(args))
 
 
 def _cmd_generate(args, out) -> int:
@@ -840,14 +839,7 @@ def _cmd_report(args, out) -> int:
     else:
         cache = ArtifactCache()
     tracer = Tracer() if args.trace is not None else None
-    pipeline = report_pipeline(
-        cache,
-        seed=args.seed,
-        n_baseline=args.baseline,
-        n_current=args.current,
-        months=args.months,
-        jobs_per_day=args.jobs_per_day,
-    )
+    pipeline = report_pipeline(cache, **_study_args(args))
     try:
         try:
             results, report = pipeline.run_with_report(
@@ -945,14 +937,7 @@ def _cmd_trace(args, out) -> int:
             print(f"error: --jobs must be >= 1, got {args.jobs}", file=out)
             return 2
         tracer = Tracer(resources=args.resources)
-        pipeline = report_pipeline(
-            ArtifactCache(),
-            seed=args.seed,
-            n_baseline=args.baseline,
-            n_current=args.current,
-            months=args.months,
-            jobs_per_day=args.jobs_per_day,
-        )
+        pipeline = report_pipeline(ArtifactCache(), **_study_args(args))
         pipeline.run(
             max_workers=args.jobs,
             executor=args.executor,
@@ -1029,12 +1014,7 @@ def _cmd_bench(args, out) -> int:
             return 2
         print(render_scale_sweep(record), file=out)
     else:
-        record = run_benchmarks(
-            scale=args.scale,
-            label=args.label,
-            repeats=args.repeats,
-            end_to_end=not args.no_end_to_end,
-        )
+        record = run_benchmarks(scale=args.scale, label=args.label, repeats=args.repeats)
         print(render_record(record), file=out)
     if args.json is not None:
         append_run(args.json, record)

@@ -15,7 +15,6 @@ captures the structure the study's telemetry analyses depend on:
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -28,42 +27,36 @@ __all__ = ["SubmittedJob", "WorkloadParams", "WorkloadModel", "diurnal_intensity
 DAY = 86400.0
 WEEK = 7.0 * DAY
 
-_POW2 = (1, 2, 4, 8, 16, 32, 64)
 # GPUs per GPU job and their probabilities.
-_GPU_COUNTS = (1, 1, 1, 2, 4, 8)
-_GPU_COUNT_P = (0.45, 0.2, 0.1, 0.15, 0.07, 0.03)
+_GPU_COUNTS = (1, 2, 4, 8)
+_GPU_COUNT_P = (0.75, 0.15, 0.07, 0.03)
+# Partitions a job can land on, indexed by the generator's partition code.
+_PARTITIONS = ("cpu", "gpu", "serial", "bigmem")
 
-
-def _choice_cdf(p) -> list[float]:
-    """The CDF ``Generator.choice(len(p), p=p)`` searches, as a list.
-
-    ``choice`` consumes one uniform double ``u`` and returns
-    ``cdf.searchsorted(u, side="right")`` with ``cdf = p.cumsum();
-    cdf /= cdf[-1]``. ``bisect_right(_choice_cdf(p), rng.random())`` makes
-    the same draw and returns the same index, without ``choice``
-    re-validating a constant distribution on every call.
-    """
-    cdf = np.asarray(p, dtype=float).cumsum()
-    cdf /= cdf[-1]
-    return cdf.tolist()
+# The diurnal profile's daily amplitude and weekend factor, and its weekly
+# mean: the daily cycle averages 1, the weekly factor (5*1 + 2*0.4)/7.
+_DAILY_AMPLITUDE = 0.5
+_WEEKEND_FACTOR = 0.4
+_WEEKLY_MEAN = (5.0 + 2.0 * _WEEKEND_FACTOR) / 7.0
+#: The maximum of :func:`diurnal_intensity` (a weekday at the daily peak):
+#: the thinning envelope of diurnal arrivals.
+DIURNAL_PEAK = (1.0 + _DAILY_AMPLITUDE) / _WEEKLY_MEAN
 
 
 def diurnal_intensity(times) -> np.ndarray:
     """Relative submission intensity at absolute times (mean 1 over a week).
 
-    Combines a sinusoidal daily cycle peaking mid-afternoon (hour ~15, with
-    a ~3:1 peak-to-trough ratio) with a weekday/weekend factor (weekends at
-    40% of weekday level). Day 0 of the window is a Monday.
+    Combines a sinusoidal daily cycle peaking mid-afternoon (hour 15, with
+    a 3:1 peak-to-trough ratio) with a weekday/weekend factor (weekends at
+    40% of weekday level). Day 0 of the window is a Monday. The maximum is
+    :data:`DIURNAL_PEAK`.
     """
     t = np.asarray(times, dtype=float)
     hour = (t % DAY) / 3600.0
-    daily = 1.0 + 0.5 * np.sin(2.0 * np.pi * (hour - 9.0) / 24.0)
+    daily = 1.0 + _DAILY_AMPLITUDE * np.sin(2.0 * np.pi * (hour - 9.0) / 24.0)
     weekday = (t % WEEK) / DAY  # 0..7, Monday start
-    weekly = np.where(weekday < 5.0, 1.0, 0.4)
-    intensity = daily * weekly
-    # Normalize so the weekly mean is exactly 1 (computed analytically:
-    # daily integrates to 1 per day; weekly factor means (5*1 + 2*0.4)/7).
-    return intensity / ((5.0 + 2.0 * 0.4) / 7.0)
+    weekly = np.where(weekday < 5.0, 1.0, _WEEKEND_FACTOR)
+    return daily * weekly / _WEEKLY_MEAN
 
 
 @dataclass(frozen=True, slots=True)
@@ -248,9 +241,8 @@ class WorkloadModel:
         p = self.params
         window = p.window_seconds
 
-        # The diurnal profile's maximum relative intensity (used as the
-        # thinning envelope when enabled).
-        diurnal_peak = float(diurnal_intensity(np.array([15.5 * 3600.0]))[0]) if p.diurnal else 1.0
+        # The thinning envelope: the diurnal profile's maximum, when enabled.
+        diurnal_peak = DIURNAL_PEAK if p.diurnal else 1.0
 
         def thin_diurnal(times: np.ndarray) -> np.ndarray:
             if not p.diurnal or times.size == 0:
@@ -278,99 +270,88 @@ class WorkloadModel:
     def _field_for_jobs(
         self, n: int, gpu: bool, rng: np.random.Generator
     ) -> np.ndarray:
-        mixes = self.params.field_mixes
-        names = list(mixes)
+        """Indices into ``params.field_mixes`` for ``n`` CPU or GPU jobs."""
+        mixes = list(self.params.field_mixes.values())
         weights = np.array(
-            [
-                mixes[f].weight * (mixes[f].gpu_share if gpu else (1.0 - mixes[f].gpu_share))
-                for f in names
-            ],
-            dtype=float,
+            [m.weight * (m.gpu_share if gpu else (1.0 - m.gpu_share)) for m in mixes]
         )
         if weights.sum() <= 0:
-            weights = np.array([mixes[f].weight for f in names], dtype=float)
-        weights = weights / weights.sum()
-        idx = rng.choice(len(names), size=n, p=weights)
-        return np.array(names, dtype=object)[idx]
+            weights = np.array([m.weight for m in mixes])
+        return rng.choice(len(mixes), size=n, p=weights / weights.sum())
 
     # -- public API ---------------------------------------------------------
 
     def generate(self, rng: np.random.Generator) -> list[SubmittedJob]:
-        """Generate the full submission stream, sorted by submit time."""
+        """Generate the full submission stream, sorted by submit time.
+
+        Arrival times come from ``rng``; every per-job quantity is one array
+        draw, in submit order, from its own sub-stream of ``rng``
+        (``rng.spawn``). Job ids run 0..n-1 in submit order.
+        """
         p = self.params
         cluster = self.cluster
         cpu_times, gpu_times = self._arrival_times(rng)
-        cpu_fields = self._field_for_jobs(cpu_times.size, gpu=False, rng=rng)
-        gpu_fields = self._field_for_jobs(gpu_times.size, gpu=True, rng=rng)
+        field_rng, shape_rng, size_rng, gpu_rng, runtime_rng, pad_rng, user_rng = rng.spawn(7)
 
-        # Exact-stream loop. Each job draws, in order: its shape (CPU: a wide
-        # coin, then serial and bigmem coins as needed, then one
-        # ``integers``; GPU: one GPU count), a ``lognormal`` runtime, an
-        # ``exponential`` walltime pad, and its user. Those calls and their
-        # arguments are fixed (tests/cluster/test_workload_stream.py pins
-        # them against a per-job helper formulation); whatever is constant
-        # within this call is resolved here once. Equivalences relied on:
-        # ``choice(n, p=w)`` is ``bisect_right(cdf, random())`` (see
-        # _choice_cdf); ``float(np.clip(x, lo, hi))`` on the scalar runtime
-        # is ``min(max(x, lo), hi)``; ``tolist()`` yields the same Python
-        # floats/strs as ``float()``/``str()`` per element.
-        fields = {}
-        for name, mix in p.field_mixes.items():
-            # Zipf-ish activity: user of rank k gets weight 1/k.
-            weights = 1.0 / (np.arange(mix.n_users, dtype=float) + 1.0)
-            fields[name] = (
-                mix.wide_share * 0.6,
-                _choice_cdf(weights / weights.sum()),
-                name[:4],
-                float(np.log(mix.mean_runtime_hours * 3600.0)),
-            )
-        # Per partition: (walltime cap, runtime clip ceiling).
-        limits = {
-            part.name: (float(part.max_walltime), part.max_walltime * 0.98)
-            for part in cluster
-        }
-        cpu_part, gpu_part = cluster["cpu"], cluster["gpu"]
-        wide_cores = [
-            min(nodes * cpu_part.cores_per_node, cpu_part.total_cores)
-            for nodes in _POW2[:4]
-        ]
-        gpu_cdf = _choice_cdf(_GPU_COUNT_P)
-        gpu_counts = [min(gpus, gpu_part.total_gpus) for gpus in _GPU_COUNTS]
-        gpu_shapes = [(gpus, min(gpus * 8, gpu_part.total_cores)) for gpus in gpu_counts]
-        has_bigmem = "bigmem" in cluster
-        random, integers = rng.random, rng.integers
-        lognormal, exponential = rng.lognormal, rng.exponential
-        pad = p.walltime_overrequest - 1.0
-        jobs: list[SubmittedJob] = []
-        append = jobs.append
+        submit = np.concatenate([cpu_times, gpu_times])
+        order = np.argsort(submit, kind="stable")
+        submit = submit[order]
+        is_gpu = order >= cpu_times.size
+        cpu_job = ~is_gpu
+        n, n_gpu = submit.size, gpu_times.size
 
-        def emit(submit: float, name: str, partition: str, cores: int, gpus: int) -> None:
-            _, user_cdf, prefix, log_mean = fields[name]
-            cap, ceiling = limits[partition]
-            runtime = min(max(lognormal(log_mean, 1.2), 60.0), ceiling)
-            walltime = max(min(runtime * (1.0 + exponential(pad)), cap), runtime)
-            user = f"{prefix}{bisect_right(user_cdf, random()):03d}"
-            append(
-                SubmittedJob(
-                    len(jobs), user, name, partition, submit, cores, gpus, runtime, walltime
-                )
-            )
+        mixes = list(p.field_mixes.values())
+        field_idx = np.empty(n, dtype=np.intp)
+        field_idx[cpu_job] = self._field_for_jobs(cpu_times.size, gpu=False, rng=field_rng)
+        field_idx[is_gpu] = self._field_for_jobs(n_gpu, gpu=True, rng=field_rng)
 
-        for submit, name in zip(cpu_times.tolist(), cpu_fields.tolist()):
-            if random() < fields[name][0]:
-                # Wide MPI-style job: power-of-two node counts (2..8 nodes).
-                emit(submit, name, "cpu", wide_cores[integers(1, 4)], 0)
-            elif random() < 0.5:
-                # Small-to-medium multicore job on the shared partition.
-                emit(submit, name, "serial", _POW2[integers(0, 7)], 0)  # 1..64 cores
-            # The bigmem coin is drawn before the partition test, so a
-            # cluster without bigmem still consumes it.
-            elif random() < 0.12 and has_bigmem:
-                emit(submit, name, "bigmem", _POW2[integers(3, 7)], 0)  # 8..64 cores
-            else:
-                emit(submit, name, "cpu", _POW2[integers(2, 7)], 0)  # 4..64 cores
-        for submit, name in zip(gpu_times.tolist(), gpu_fields.tolist()):
-            gpus, cores = gpu_shapes[bisect_right(gpu_cdf, random())]
-            emit(submit, name, "gpu", cores, gpus)
-        jobs.sort(key=lambda j: j.submit)
-        return jobs
+        # CPU job shape, from three coins: wide MPI-style on ``cpu``, else
+        # half go to ``serial``, else 12% to ``bigmem`` (when the cluster
+        # has one), else narrow on ``cpu``.
+        coins = shape_rng.random((3, n))
+        wide_p = np.array([m.wide_share * 0.6 for m in mixes])[field_idx]
+        wide = cpu_job & (coins[0] < wide_p)
+        serial = cpu_job & ~wide & (coins[1] < 0.5)
+        bigmem = cpu_job & ~wide & ~serial & (coins[2] < 0.12) & ("bigmem" in cluster)
+        part_idx = np.select([is_gpu, serial, bigmem], [1, 2, 3], 0)
+
+        # Widths are powers of two: 2..8 whole nodes when wide, 1..64 cores
+        # on serial, 8..64 on bigmem and 4..64 on cpu; a GPU job takes 8
+        # cores per GPU. No job asks for more than its partition has.
+        low = np.select([wide, serial, bigmem], [1, 0, 3], 2)
+        cores = 2 ** size_rng.integers(low, np.where(wide, 4, 7))
+        cores[wide] *= cluster["cpu"].cores_per_node
+        gpus = np.zeros(n, dtype=np.int64)
+        gpus[is_gpu] = np.minimum(
+            gpu_rng.choice(_GPU_COUNTS, size=n_gpu, p=_GPU_COUNT_P), cluster["gpu"].total_gpus
+        )
+        cores[is_gpu] = gpus[is_gpu] * 8
+        partitions = [cluster[name] for name in _PARTITIONS if name in cluster]
+        cores = np.minimum(cores, np.array([part.total_cores for part in partitions])[part_idx])
+
+        cap = np.array([float(part.max_walltime) for part in partitions])[part_idx]
+        log_mean = np.log([m.mean_runtime_hours * 3600.0 for m in mixes])[field_idx]
+        runtime = np.minimum(
+            np.maximum(runtime_rng.lognormal(log_mean, 1.2), 60.0), cap * 0.98
+        )
+        pad = pad_rng.exponential(p.walltime_overrequest - 1.0, size=n)
+        walltime = np.maximum(np.minimum(runtime * (1.0 + pad), cap), runtime)
+
+        # Zipf-ish activity within each field: user of rank k has weight 1/k.
+        u = user_rng.random(n)
+        users = np.empty(n, dtype=object)
+        for i, (name, mix) in enumerate(p.field_mixes.items()):
+            in_field = field_idx == i
+            cdf = np.cumsum(1.0 / np.arange(1, mix.n_users + 1))
+            rank = np.searchsorted(cdf / cdf[-1], u[in_field], side="right")
+            labels = np.array([f"{name[:4]}{k:03d}" for k in range(mix.n_users)], dtype=object)
+            users[in_field] = labels[rank]
+
+        columns = (
+            users,
+            np.array(list(p.field_mixes), dtype=object)[field_idx],
+            np.array([part.name for part in partitions], dtype=object)[part_idx],
+            submit, cores, gpus, runtime, walltime,
+        )
+        rows = zip(*(column.tolist() for column in columns))
+        return [SubmittedJob(job_id, *row) for job_id, row in enumerate(rows)]

@@ -6,6 +6,9 @@
   predecessor study's marginals and the 2024 "trends" targets;
 * :mod:`repro.core.study` — :class:`Study`, binding instrument, responses and
   cluster telemetry for analysis;
+* :mod:`repro.core.study_pipeline` — the cached generate/schedule/assemble
+  DAG that builds every study from one seed (:func:`build_default_study`,
+  :func:`run_cached_study`);
 * :mod:`repro.core.trends` — cohort-over-cohort trend engine;
 * :mod:`repro.core.pipeline` — reproducible generate/validate/analyze
   dependency DAG with content-addressed artifact caching and parallel
@@ -30,7 +33,7 @@ from repro.core.calibration import (
     profile_2011,
     profile_2024,
 )
-from repro.core.study import Study, StudyError, build_default_study
+from repro.core.study import Study, StudyError
 from repro.core.trends import TrendEngine, TrendRow, TrendTable
 from repro.core.weighting import WeightedTrendEngine, make_cohort_weights
 from repro.core.faults import (
@@ -59,7 +62,7 @@ from repro.core.pipeline import (
     RetryPolicy,
     StepTimeout,
 )
-from repro.core.study_pipeline import run_cached_study, study_pipeline
+from repro.core.study_pipeline import build_default_study, run_cached_study, study_pipeline
 from repro.core.trace import (
     CriticalPathResult,
     CriticalStep,

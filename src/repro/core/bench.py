@@ -13,7 +13,6 @@ Timed units (the substrates that dominate a reproduction run):
 * ``generate_cohort``   — the survey respondent generator;
 * ``table_aggregations`` — the columnar :class:`~repro.cluster.records.JobTable`
   usage rollups (CPU-hours by field/month, GPU-hours, width distribution);
-* ``end_to_end_report`` — study build + full sequential report render;
 * ``retry_overhead``    — the scheduler simulation run through a pipeline
   *with* retry+timeout configured vs a plain pipeline, both fault-free.
   Both variants pay identical cache-pickling costs, so the pair isolates
@@ -848,7 +847,6 @@ def run_benchmarks(
     scale: str = "full",
     label: str = "run",
     repeats: int | None = None,
-    end_to_end: bool = True,
 ) -> dict:
     """Time every substrate at ``scale`` and return one trajectory record.
 
@@ -861,11 +859,6 @@ def run_benchmarks(
         ``"ci"``, ...).
     repeats:
         Override the scale's min-of-k repeat count.
-    end_to_end:
-        Also time study build + sequential report render (runs once —
-        it dwarfs the substrate timings). Skipped regardless of this
-        flag when the scale has fewer than 3 months: the report's GPU
-        growth figure needs >= 3 months of telemetry.
     """
     # Imports are deferred so `repro --help` stays fast.
     from repro.cluster import WorkloadModel, WorkloadParams, simulate_schedule
@@ -874,8 +867,7 @@ def run_benchmarks(
         gpu_hours_monthly,
         job_width_distribution,
     )
-    from repro.core import build_default_study, build_instrument, profile_2024
-    from repro.report.document import build_report
+    from repro.core import build_instrument, profile_2024
     from repro.synth import generate_cohort
 
     if scale not in SCALES:
@@ -935,21 +927,6 @@ def run_benchmarks(
     benchmarks["metrics_overhead"] = _bench_metrics_overhead(sc, k)
 
     benchmarks["serve_latency"] = _bench_serve_latency(sc, k)
-
-    if end_to_end and sc.months >= 3:
-        def report() -> None:
-            study = build_default_study(
-                seed=2024,
-                n_baseline=120,
-                n_current=sc.cohort_n,
-                months=sc.months,
-                jobs_per_day=200.0,
-            )
-            build_report(study)
-
-        # memory=False: the extra tracemalloc pass would double the one
-        # unit that already dwarfs everything else; max_rss_kb still lands.
-        benchmarks["end_to_end_report"] = _time_min_of_k(report, 1, memory=False)
 
     return {
         "label": label,

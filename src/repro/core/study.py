@@ -1,8 +1,9 @@
 """The Study object: instrument + responses + telemetry in one place.
 
 A :class:`Study` is what every experiment in the report registry consumes.
-:func:`build_default_study` materializes the full reconstructed study —
-both survey cohorts plus a simulated telemetry window — from a single seed.
+:func:`~repro.core.study_pipeline.build_default_study` materializes the
+full reconstructed study — both survey cohorts plus a simulated telemetry
+window — from a single seed.
 
 A study joins two independently arriving halves, its *parts*
 (:data:`STUDY_PARTS`): the survey waves and the scheduler accounting
@@ -17,18 +18,12 @@ import math
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
-import numpy as np
-
-from repro.cluster.partitions import ClusterConfig, DEFAULT_CLUSTER
+from repro.cluster.partitions import ClusterConfig
 from repro.cluster.records import JobTable
-from repro.cluster.scheduler import simulate_schedule
-from repro.cluster.workload import WorkloadModel, WorkloadParams
-from repro.core.calibration import profile_2011, profile_2024
-from repro.core.instrument import build_instrument
 from repro.survey.responses import ResponseSet
 from repro.survey.validation import validate_response_set
 
-__all__ = ["STUDY_PARTS", "StudyError", "Study", "build_default_study", "study_parts"]
+__all__ = ["STUDY_PARTS", "StudyError", "Study", "study_parts"]
 
 
 class StudyError(ValueError):
@@ -151,53 +146,3 @@ class Study:
     def validation_report(self):
         """QA report over all responses."""
         return validate_response_set(self.responses)
-
-
-def build_default_study(
-    seed: int = 2024,
-    n_baseline: int = 120,
-    n_current: int = 160,
-    months: int = 24,
-    jobs_per_day: float = 300.0,
-    cluster: ClusterConfig | None = None,
-    backfill: bool = True,
-    diurnal: bool = True,
-) -> Study:
-    """Generate the full reconstructed study from one seed.
-
-    Survey cohorts, workload, and scheduling each draw from independent
-    child streams of ``seed``, so e.g. enlarging the survey never changes
-    the telemetry.
-    """
-    from repro.synth.generator import generate_study  # local: avoid cycle at import
-
-    if n_baseline < 1 or n_current < 1:
-        raise StudyError("cohort sizes must be >= 1")
-    cluster = cluster or DEFAULT_CLUSTER
-    master = np.random.default_rng(seed)
-    survey_rng_seed, workload_rng, sched_rng = (
-        master.integers(2**31),
-        master.spawn(1)[0],
-        master.spawn(1)[0],
-    )
-
-    questionnaire = build_instrument()
-    responses = generate_study(
-        {
-            "2011": (profile_2011(), n_baseline),
-            "2024": (profile_2024(), n_current),
-        },
-        questionnaire,
-        seed=int(survey_rng_seed),
-    )
-
-    params = WorkloadParams(months=months, jobs_per_day=jobs_per_day, diurnal=diurnal)
-    jobs = WorkloadModel(params, cluster).generate(workload_rng)
-    result = simulate_schedule(jobs, cluster, rng=sched_rng, backfill=backfill)
-
-    return Study(
-        responses=responses,
-        telemetry=result.table,
-        cluster=cluster,
-        window_seconds=params.window_seconds,
-    )

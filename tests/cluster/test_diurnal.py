@@ -5,7 +5,7 @@ import pytest
 
 from repro.cluster import WorkloadModel, WorkloadParams, arrival_profile
 from repro.cluster.records import JobRecord, JobState, JobTable
-from repro.cluster.workload import DAY, WEEK, diurnal_intensity
+from repro.cluster.workload import DAY, DIURNAL_PEAK, WEEK, diurnal_intensity
 
 
 class TestDiurnalIntensity:
@@ -26,6 +26,13 @@ class TestDiurnalIntensity:
     def test_nonnegative(self):
         t = np.linspace(0, WEEK, 1000)
         assert (diurnal_intensity(t) >= 0).all()
+
+    def test_thinning_envelope_is_the_maximum(self):
+        # Diurnal arrivals are thinned with acceptance intensity / envelope;
+        # an envelope below the intensity would clip acceptance at 1.
+        ratio = diurnal_intensity(np.arange(0.0, WEEK, 60.0)) / DIURNAL_PEAK
+        assert (ratio <= 1.0).all()
+        assert ratio.max() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestDiurnalWorkload:

@@ -7,6 +7,7 @@ before any benchmark runs.
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -141,3 +142,22 @@ class TestBadTrajectoryFile:
         assert code == 2
         assert "bad.json" in output
         assert calls == []
+
+
+class TestCommittedRecords:
+    def test_every_committed_record_renders(self):
+        runs = bench.load_runs(Path(__file__).resolve().parents[2] / "BENCH_2.json")
+        for run in runs:
+            if "scale_sweep" in run["benchmarks"]:
+                assert "fitted exponents" in bench.render_scale_sweep(run)
+            else:
+                text = bench.render_record(run)
+                assert all(name in text for name in run["benchmarks"])
+        # Records from before the end-to-end row was dropped still render it.
+        assert any("end_to_end_report" in run["benchmarks"] for run in runs)
+
+    def test_no_end_to_end_flag(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["bench", "--help"])
+        assert "end-to-end" not in capsys.readouterr().out
+

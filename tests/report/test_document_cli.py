@@ -5,7 +5,10 @@ import re
 
 import pytest
 
+from repro.audit.digests import render_artifact
 from repro.cli import main
+from repro.core import build_default_study, run_cached_study
+from repro.report import EXPERIMENTS, run_all_experiments
 from repro.report.document import build_report
 
 
@@ -155,6 +158,15 @@ class TestOneSeedOneReport:
         assert code == 0
         (jobs,) = re.findall(r"wrote (\d+) job records", text)
         assert f"* telemetry: {jobs} jobs over 3 months" in plain.decode()
+
+    def test_build_default_study_is_the_reported_study(self, plain):
+        size = dict(seed=3, n_baseline=60, n_current=80, months=3, jobs_per_day=60.0)
+        study = build_default_study(**size)
+        rendered = {eid: render_artifact(a) for eid, a in run_all_experiments(study).items()}
+        expected = run_all_experiments(run_cached_study(**size))
+        assert sorted(rendered) == sorted(EXPERIMENTS) and len(rendered) == 26
+        assert rendered == {eid: render_artifact(a) for eid, a in expected.items()}
+        assert f"* telemetry: {len(study.telemetry)} jobs over 3 months" in plain.decode()
 
 
 class TestExperimentsListing:

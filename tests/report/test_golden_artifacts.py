@@ -1,18 +1,20 @@
 """Golden-artifact regression suite.
 
 Regenerates every registered experiment from the same full-scale seeded
-study that produced the checked-in ``artifacts/`` renderings (see
-``examples/full_reproduction.py``) and asserts the text output matches
-byte-for-byte. This pins the entire analysis stack — synthesis, scheduler
-simulation, statistics, rendering — to a known-good output, so no refactor
-can silently change results.
+study that produced the checked-in ``artifacts/`` (``GOLDEN_STUDY``, which
+``examples/full_reproduction.py`` builds too) and asserts that every
+committed file — the ``.txt`` rendering and, for a figure, its ``.json``
+data and ``.svg`` plot — matches byte-for-byte. This pins the entire
+analysis stack — synthesis, scheduler simulation, statistics, rendering —
+to a known-good output, so no refactor can silently change results.
 
-The comparison itself lives in :mod:`repro.audit.digests`
-(``render_artifact``/``load_golden``/``compare_to_goldens``) and is shared
-with the ``repro audit`` CLI, so this suite and the user-facing audit can
-never disagree about what "byte-identical" means.
+The study arguments and the bytes of each file live in
+:mod:`repro.audit.digests` (``GOLDEN_STUDY``/``artifact_files``/
+``compare_to_goldens``), shared with the example script and the
+``repro audit`` package, so the suite, the script and the user-facing
+audit can never disagree about what "byte-identical" means.
 
-The study build dominates the cost (~25s), so everything shares one
+The study build dominates the cost, so everything shares one
 module-scoped study; the artifact comparisons themselves are cheap.
 """
 
@@ -20,21 +22,18 @@ from pathlib import Path
 
 import pytest
 
-from repro.audit.digests import compare_to_goldens, golden_ids, load_golden, render_artifact
+from repro.audit.digests import GOLDEN_STUDY, artifact_files, compare_to_goldens, golden_ids
 from repro.core import build_default_study
 from repro.report import EXPERIMENTS, run_all_experiments
 
 ARTIFACT_DIR = Path(__file__).resolve().parents[2] / "artifacts"
-
-# Must mirror examples/full_reproduction.py, which wrote the goldens.
-FULL_SCALE = dict(seed=888, n_baseline=120, n_current=300, months=24, jobs_per_day=450)
 
 GOLDEN_IDS = golden_ids(ARTIFACT_DIR)
 
 
 @pytest.fixture(scope="module")
 def full_study():
-    return build_default_study(**FULL_SCALE)
+    return build_default_study(**GOLDEN_STUDY)
 
 
 @pytest.fixture(scope="module")
@@ -53,18 +52,28 @@ def test_no_orphan_goldens():
     assert not orphans, f"golden artifacts without a registered experiment: {orphans}"
 
 
+def test_every_committed_file_is_written_by_the_script(sequential_artifacts):
+    written = {
+        name for eid, artifact in sequential_artifacts.items() for name in artifact_files(eid, artifact)
+    }
+    committed = {path.name for path in ARTIFACT_DIR.iterdir()}
+    assert committed == written, {
+        "committed, not written": sorted(committed - written),
+        "written, not committed": sorted(written - committed),
+    }
+
+
 @pytest.mark.parametrize("eid", GOLDEN_IDS)
 def test_golden_artifact_byte_identical(sequential_artifacts, eid):
-    golden = load_golden(ARTIFACT_DIR, eid)
-    regenerated = render_artifact(sequential_artifacts[eid])
-    assert regenerated == golden, (
-        f"{eid} drifted from artifacts/{eid}.txt — if the change is "
-        f"intentional, regenerate goldens with examples/full_reproduction.py"
-    )
+    for name, regenerated in artifact_files(eid, sequential_artifacts[eid]).items():
+        golden = (ARTIFACT_DIR / name).read_text(encoding="utf-8")
+        assert regenerated == golden, (
+            f"artifacts/{name} drifted — if the change is intentional, "
+            f"regenerate goldens with examples/full_reproduction.py"
+        )
 
 
 def test_compare_to_goldens_matches_per_id_checks(sequential_artifacts):
     results = compare_to_goldens(sequential_artifacts, ARTIFACT_DIR)
     assert sorted(results) == GOLDEN_IDS
     assert all(results.values()), [eid for eid, ok in results.items() if not ok]
-

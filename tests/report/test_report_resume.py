@@ -11,8 +11,7 @@ import pytest
 
 from repro.cli import EXIT_INTERRUPTED, main
 
-# Smallest parameter set the *staged* study pipeline renders fully at
-# (its stages draw from per-step seed streams, not build_default_study's).
+# Smallest parameter set the study pipeline renders every experiment at.
 SMALL = (
     "--seed", "3", "--baseline", "60", "--current", "80",
     "--months", "3", "--jobs-per-day", "60",
