@@ -1,8 +1,7 @@
 """Shared benchmark fixtures.
 
-The study is generated once per session (generation itself is benchmarked
-separately in bench_substrates); per-experiment benches then measure pure
-analysis/render cost, which is what a user regenerating one table pays.
+The study is generated once per session, so the ablation benches measure
+only the design choice they compare, never study synthesis.
 """
 
 import pytest

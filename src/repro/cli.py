@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=Path,
         default=None,
         metavar="FILE",
-        help="write a Prometheus text-format metrics snapshot here",
+        help="write the run's metrics registry as Prometheus text here",
     )
     trc.add_argument(
         "--resources",
@@ -924,6 +924,16 @@ def _cmd_trace(args, out) -> int:
     )
 
     if args.load is not None:
+        run_only = {
+            "--out": args.out is not None,
+            "--metrics-out": args.metrics_out is not None,
+            "--resources": args.resources,
+            "--jobs": args.jobs is not None,
+        }
+        for flag, given in run_only.items():
+            if given:
+                print(f"error: {flag} applies to a traced run, not to --load", file=out)
+                return 2
         try:
             data = load_perfetto(args.load)
         except (TraceError, OSError, ValueError) as exc:
@@ -931,6 +941,7 @@ def _cmd_trace(args, out) -> int:
             return 2
     else:
         from repro.core.pipeline import ArtifactCache
+        from repro.obs.registry import registry_from_metrics
         from repro.report.experiments import report_pipeline
 
         if args.jobs is not None and args.jobs < 1:
@@ -949,7 +960,8 @@ def _cmd_trace(args, out) -> int:
             tracer.write_perfetto(args.out)
             print(f"wrote Perfetto trace to {args.out}", file=out)
         if args.metrics_out is not None:
-            args.metrics_out.write_text(tracer.to_prometheus(), encoding="utf-8")
+            registry = registry_from_metrics(pipeline.last_metrics, tracer)
+            args.metrics_out.write_text(registry.to_text(), encoding="utf-8")
             print(f"wrote Prometheus metrics to {args.metrics_out}", file=out)
     if args.check_schema:
         problems = validate_perfetto(data)

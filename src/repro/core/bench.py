@@ -1,18 +1,16 @@
 """Wall-clock benchmark harness for the generative substrates.
 
-The pytest-benchmark suites under ``benchmarks/`` are great for local
-A/B runs but leave no committed trace. This module produces the repo's
-*perf trajectory*: small JSON records (min-of-k wall times plus machine
-metadata) that each PR appends to a ``BENCH_<n>.json`` file, so "made it
-faster" is a checked-in number instead of a claim in a commit message.
+The pytest-benchmark ablations under ``benchmarks/`` leave no committed
+trace. This module produces the repo's *perf trajectory*: small JSON
+records (min-of-k wall times plus machine metadata) that each PR appends
+to a ``BENCH_<n>.json`` file, so "made it faster" is a checked-in number
+instead of a claim in a commit message.
 
-Timed units (the substrates that dominate a reproduction run):
+Timed units (perfbench, the benchmark of record, times workload
+synthesis, cohort synthesis and each experiment with spread; these are
+what it does not price):
 
-* ``workload_generate`` — submission-stream synthesis;
 * ``simulate_schedule`` — the EASY-backfill scheduler simulator;
-* ``generate_cohort``   — the survey respondent generator;
-* ``table_aggregations`` — the columnar :class:`~repro.cluster.records.JobTable`
-  usage rollups (CPU-hours by field/month, GPU-hours, width distribution);
 * ``retry_overhead``    — the scheduler simulation run through a pipeline
   *with* retry+timeout configured vs a plain pipeline, both fault-free.
   Both variants pay identical cache-pickling costs, so the pair isolates
@@ -862,13 +860,6 @@ def run_benchmarks(
     """
     # Imports are deferred so `repro --help` stays fast.
     from repro.cluster import WorkloadModel, WorkloadParams, simulate_schedule
-    from repro.cluster.usage import (
-        cpu_hours_by_field_month,
-        gpu_hours_monthly,
-        job_width_distribution,
-    )
-    from repro.core import build_instrument, profile_2024
-    from repro.synth import generate_cohort
 
     if scale not in SCALES:
         raise ValueError(f"unknown scale {scale!r}; expected one of {sorted(SCALES)}")
@@ -881,9 +872,6 @@ def run_benchmarks(
     model = WorkloadModel(params)
     benchmarks: dict[str, dict] = {}
 
-    benchmarks["workload_generate"] = _time_min_of_k(
-        lambda: model.generate(np.random.default_rng(0)), k
-    )
     jobs = model.generate(np.random.default_rng(0))
     benchmarks["simulate_schedule"] = _time_min_of_k(
         lambda: simulate_schedule(jobs, rng=np.random.default_rng(0)), k
@@ -892,25 +880,6 @@ def run_benchmarks(
         "months": sc.months,
         "jobs": len(jobs),
     }
-
-    questionnaire = build_instrument()
-    profile = profile_2024()
-    benchmarks["generate_cohort"] = _time_min_of_k(
-        lambda: generate_cohort(
-            profile, questionnaire, sc.cohort_n, np.random.default_rng(0)
-        ),
-        k,
-    )
-    benchmarks["generate_cohort"]["detail"] = {"n": sc.cohort_n}
-
-    table = simulate_schedule(jobs, rng=np.random.default_rng(0)).table
-
-    def aggregate() -> None:
-        cpu_hours_by_field_month(table)
-        gpu_hours_monthly(table)
-        job_width_distribution(table)
-
-    benchmarks["table_aggregations"] = _time_min_of_k(aggregate, k)
 
     benchmarks["retry_overhead"] = _bench_retry_overhead(jobs, k)
 

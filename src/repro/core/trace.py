@@ -32,8 +32,8 @@ or ``chrome://tracing``) with stable ordering, and
 ``to_perfetto(normalize=True)`` strips every timing-, host- and
 run-dependent field so a fixed seed/DAG exports byte-identically across
 sequential/thread/process executors — the determinism suite diffs exactly
-that. :meth:`Tracer.to_prometheus` renders the same data as a
-Prometheus-style text metrics snapshot.
+that. Counts derived from a trace (instant events, skipped rows) are
+folded into a metrics registry by :func:`repro.obs.registry.count_instants`.
 
 On top of the span tree, :func:`critical_path` implements DAG
 critical-path analysis (longest dependency chain, per-step slack,
@@ -409,102 +409,6 @@ class Tracer:
             encoding="utf-8",
         )
         return path
-
-    # -- export: Prometheus text snapshot -------------------------------------
-
-    def to_prometheus(self) -> str:
-        """The trace aggregated as a Prometheus text-format snapshot.
-
-        One-shot gauge/counter families (no timestamps — the snapshot is
-        meant for scrape-at-end-of-run or diffing in tests):
-
-        * ``repro_run_wall_seconds`` / ``repro_run_steps_total{outcome=}``
-        * ``repro_step_wall_seconds{step=}`` / ``_queue_seconds`` /
-          ``_compute_seconds`` / ``repro_step_attempts_total{step=}``
-        * ``repro_events_total{event=}`` — every instant family
-          (cache hits, lock acquisitions, backoff sleeps, fault firings).
-        * ``repro_skipped_rows_total{reader=}`` — rows the tolerant
-          readers dropped, summed from ``ingest.skipped_rows`` instants
-          (the event count alone would count reader *invocations*, not
-          rows).
-
-        Rendering goes through the repo's one exposition writer
-        (:class:`repro.obs.promfmt.PromWriter`), so label escaping and
-        ``# HELP``/``# TYPE`` layout are shared — and validated by one
-        shared validator — with the :class:`repro.obs.registry.MetricsRegistry`
-        renderings.
-        """
-        from repro.obs.promfmt import PromWriter
-
-        writer = PromWriter()
-        steps = sorted(
-            (s for s in self.spans if s.cat == "step"), key=lambda s: s.name
-        )
-        outcome_counts: dict[str, int] = {}
-        for s in steps:
-            outcome = str(s.args.get("outcome", "unknown"))
-            outcome_counts[outcome] = outcome_counts.get(outcome, 0) + 1
-        event_counts: dict[str, int] = {}
-        for i in self.instants:
-            event_counts[i.name] = event_counts.get(i.name, 0) + 1
-        writer.family(
-            "repro_run_wall_seconds", "gauge", "Wall-clock of the traced run."
-        )
-        for root in (s for s in self.spans if s.cat == "run"):
-            wall = (root.end if root.end is not None else root.start) - root.start
-            writer.sample(
-                "repro_run_wall_seconds",
-                {"run": str(root.args.get("run_id", ""))},
-                f"{wall:.6f}",
-            )
-        writer.family("repro_run_steps_total", "counter", "Steps by outcome.")
-        for outcome in sorted(outcome_counts):
-            writer.sample(
-                "repro_run_steps_total", {"outcome": outcome}, str(outcome_counts[outcome])
-            )
-        for metric, key, help_text in (
-            ("repro_step_wall_seconds", "wall", "Per-step wall time (obtain)."),
-            ("repro_step_queue_seconds", "queue_wait", "Per-step queue wait."),
-            ("repro_step_compute_seconds", "compute", "Per-step compute time."),
-        ):
-            writer.family(metric, "gauge", help_text)
-            for s in steps:
-                name = str(s.args.get("step", s.name))
-                if key == "wall":
-                    end = s.end if s.end is not None else s.start
-                    value = float(end - s.start)
-                else:
-                    value = float(s.args.get(key, 0.0) or 0.0)
-                writer.sample(metric, {"step": name}, f"{value:.6f}")
-        writer.family(
-            "repro_step_attempts_total", "counter", "Compute attempts per step."
-        )
-        for s in steps:
-            writer.sample(
-                "repro_step_attempts_total",
-                {"step": str(s.args.get("step", s.name))},
-                str(int(s.args.get("attempts", 0) or 0)),
-            )
-        writer.family("repro_events_total", "counter", "Instant events by family.")
-        for event in sorted(event_counts):
-            writer.sample(
-                "repro_events_total", {"event": event}, str(event_counts[event])
-            )
-        skipped_rows: dict[str, int] = {}
-        for i in self.instants:
-            if i.name == "ingest.skipped_rows":
-                reader = str(i.args.get("reader", "unknown"))
-                skipped_rows[reader] = skipped_rows.get(reader, 0) + int(
-                    i.args.get("count", 0) or 0
-                )
-        writer.family(
-            "repro_skipped_rows_total", "counter", "Rows dropped by tolerant readers."
-        )
-        for reader in sorted(skipped_rows):
-            writer.sample(
-                "repro_skipped_rows_total", {"reader": reader}, str(skipped_rows[reader])
-            )
-        return writer.render()
 
 
 # -- the ambient tracer --------------------------------------------------------

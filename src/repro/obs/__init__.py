@@ -5,8 +5,8 @@ Spans three layers of the repo:
 * :mod:`repro.obs.registry` — the mergeable :class:`MetricsRegistry`
   (counters, gauges, log-bucketed histograms with exact percentile
   queries); snapshots are pure data with associative/commutative merge;
-* :mod:`repro.obs.promfmt` — the one Prometheus exposition writer +
-  validator shared by the registry and ``Tracer.to_prometheus``;
+* :mod:`repro.obs.promfmt` — the Prometheus exposition writer +
+  validator behind the registry's ``to_text``;
 * :mod:`repro.obs.spine` — the cross-process trace/metrics spine for
   fleet runs (worker segment files, coordinator merge);
 * :mod:`repro.obs.slo` / :mod:`repro.obs.ring` — serve-tier SLO policy
@@ -17,6 +17,7 @@ Spans three layers of the repo:
 from repro.obs.promfmt import PromWriter, validate_prometheus
 from repro.obs.registry import (
     MetricsRegistry,
+    count_instants,
     merge_snapshots,
     registry_from_metrics,
 )
@@ -29,6 +30,7 @@ __all__ = [
     "PromWriter",
     "validate_prometheus",
     "MetricsRegistry",
+    "count_instants",
     "merge_snapshots",
     "registry_from_metrics",
     "MetricsRing",

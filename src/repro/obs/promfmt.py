@@ -1,12 +1,13 @@
 """Shared Prometheus text-exposition writer and format validator.
 
-Two surfaces render metrics as Prometheus text: the per-run
-:meth:`repro.core.trace.Tracer.to_prometheus` snapshot and the fleet-wide
-:class:`repro.obs.registry.MetricsRegistry`. Both route through this
-module so there is exactly one place that knows the exposition format —
-``# HELP``/``# TYPE`` comment lines, label-value escaping, sample-line
-layout — and one validator (:func:`validate_prometheus`) that both
-outputs must pass in the test suite.
+Every Prometheus text this repo writes — a traced run's ``repro trace
+--metrics-out`` file, the serve tier's ``metrics/`` ring, the fleet
+registry — is a :class:`repro.obs.registry.MetricsRegistry` rendered
+through this module, so there is exactly one place that knows the
+exposition format — ``# HELP``/``# TYPE`` comment lines, label-value
+escaping, sample-line layout — and one validator
+(:func:`validate_prometheus`) that its output must pass in the test
+suite.
 
 Escaping follows the exposition-format spec: inside a label value a
 backslash becomes ``\\``, a double quote ``\"``, and a newline the two

@@ -34,6 +34,7 @@ from repro.obs.promfmt import PromWriter
 
 __all__ = [
     "MetricsRegistry",
+    "count_instants",
     "merge_snapshots",
     "registry_from_metrics",
 ]
@@ -139,6 +140,8 @@ _WELL_KNOWN: dict[str, tuple[str, str]] = {
     ),
     "repro_worker_up": ("gauge", "Fleet worker liveness (value = pid)."),
     "repro_worker_tasks": ("gauge", "Tasks executed, per fleet worker."),
+    "repro_events_total": ("counter", "Instant events by family."),
+    "repro_skipped_rows_total": ("counter", "Rows dropped by tolerant readers."),
 }
 
 
@@ -199,6 +202,15 @@ class MetricsRegistry:
             if key in self._counters:
                 return self._counters[key]
             return self._gauges.get(key, 0.0)
+
+    def counts(self, name: str, label: str) -> dict[str, int]:
+        """A counter family's series as ``{value of label: count}``."""
+        with self._lock:
+            return {
+                dict(pairs).get(label, ""): int(value)
+                for (series, pairs), value in sorted(self._counters.items())
+                if series == name
+            }
 
     def histogram_count(self, name: str, **labels: Any) -> int:
         with self._lock:
@@ -336,7 +348,26 @@ def merge_snapshots(snapshots: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
     return merged.snapshot()
 
 
-def registry_from_metrics(metrics: Any) -> MetricsRegistry:
+def count_instants(registry: MetricsRegistry, tracer: Any) -> None:
+    """Fold a traced run's instant events into ``registry``.
+
+    Each instant adds 1 to ``repro_events_total{event=<name>}`` (cache
+    hits, lock acquisitions, backoff sleeps, fault firings, ...). An
+    ``ingest.skipped_rows`` instant also adds its ``count`` to
+    ``repro_skipped_rows_total{reader=}``: the event count alone would
+    count reader *invocations*, not the rows they dropped.
+    """
+    for event in tracer.instants:
+        registry.inc("repro_events_total", event=event.name)
+        if event.name == "ingest.skipped_rows":
+            registry.inc(
+                "repro_skipped_rows_total",
+                int(event.args.get("count", 0) or 0),
+                reader=event.args.get("reader", "unknown"),
+            )
+
+
+def registry_from_metrics(metrics: Any, tracer: Any = None) -> MetricsRegistry:
     """The canonical per-run registry, derived from an ``ExecutorMetrics``.
 
     Gives the in-process executors (sequential/thread/process) the same
@@ -344,6 +375,9 @@ def registry_from_metrics(metrics: Any) -> MetricsRegistry:
     ``repro_steps_total{outcome=}`` and the ``repro_step_wall_seconds``
     histogram — so a clean run's merged fleet registry and an in-process
     run's registry render byte-identically under ``normalize=True``.
+    Given the run's ``tracer``, its instants are folded in too
+    (:func:`count_instants`); that is what ``repro trace --metrics-out``
+    writes.
     """
     registry = MetricsRegistry()
     registry.describe(*(("repro_steps_total",) + _WELL_KNOWN["repro_steps_total"]))
@@ -353,4 +387,6 @@ def registry_from_metrics(metrics: Any) -> MetricsRegistry:
     for step in getattr(metrics, "steps", []):
         registry.inc("repro_steps_total", outcome=step.outcome)
         registry.observe("repro_step_wall_seconds", step.wall_seconds)
+    if tracer is not None:
+        count_instants(registry, tracer)
     return registry

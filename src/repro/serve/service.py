@@ -66,7 +66,7 @@ from repro.core.journal import (
 from repro.core.metrics import SUCCESS_OUTCOMES, RunReport
 from repro.core.pipeline import ArtifactCache
 from repro.core.trace import Tracer
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import MetricsRegistry, count_instants
 from repro.obs.ring import MetricsRing
 from repro.obs.slo import evaluate_slo, load_slo
 from repro.report.experiments import EXPERIMENTS
@@ -111,7 +111,6 @@ class ServeConfig:
     journal_rotate_bytes: int = 256 << 10
     compact_every: int = 8
     fsync: str = "interval"
-    metrics: bool = True  # False: no registry/ring (the overhead bench baseline)
     metrics_rotate_bytes: int = 64 << 10
     #: The ``--loop`` refresh cadence, recorded into status.json so the
     #: out-of-process probe can spot a wedged service by mtime age.
@@ -177,23 +176,14 @@ class StudyService:
         self._clock = clock
         self._started_at = clock()
         self._lock = threading.RLock()
-        self.tracer = Tracer()
         self.admission = AdmissionController(self.config.queue_size)
         #: The SLO-facing observability plane: per-request latency
-        #: histogram + shed/degraded counters in a mergeable registry,
-        #: persisted through the size-rotated ``metrics/`` ring every
-        #: status write. ``config.metrics=False`` disables the whole
-        #: plane (the differential-overhead bench baseline).
-        self.registry: MetricsRegistry | None = (
-            MetricsRegistry() if self.config.metrics else None
-        )
-        self._ring: MetricsRing | None = (
-            MetricsRing(
-                self.root / "metrics",
-                rotate_bytes=self.config.metrics_rotate_bytes,
-            )
-            if self.config.metrics
-            else None
+        #: histogram, shed/degraded counters, service events and skipped
+        #: rows in a mergeable registry, persisted through the
+        #: size-rotated ``metrics/`` ring every status write.
+        self.registry = MetricsRegistry()
+        self._ring = MetricsRing(
+            self.root / "metrics", rotate_bytes=self.config.metrics_rotate_bytes
         )
         self.breaker = CircuitBreaker(
             threshold=self.config.breaker_threshold,
@@ -277,7 +267,7 @@ class StudyService:
             return
         self.read_only = True
         self.read_only_reason = reason
-        self.tracer.instant("serve.read_only", "serve", reason=reason)
+        self.registry.inc("repro_events_total", event="serve.read_only")
 
     # -- ingestion -------------------------------------------------------------
 
@@ -309,13 +299,7 @@ class StudyService:
                 self._enter_read_only(f"wal: {exc}")
                 self._write_status()
                 raise ServiceReadOnly(str(exc)) from exc
-            self.tracer.instant(
-                "serve.ingest",
-                "serve",
-                kind=kind,
-                accepted=receipt.accepted,
-                deduped=receipt.deduped,
-            )
+            self.registry.inc("repro_events_total", event="serve.ingest")
             self._write_status()
             return receipt
 
@@ -449,6 +433,7 @@ class StudyService:
                 rotate_bytes=self.config.journal_rotate_bytes,
             )
             journal.chaos = self.journal_chaos
+            tracer = Tracer()
             try:
                 results = pipeline.run(
                     force=force,
@@ -456,11 +441,12 @@ class StudyService:
                     on_error="keep_going",
                     journal=journal,
                     resume=resume,
-                    trace=self.tracer,
+                    trace=tracer,
                     fault_plan=fault_plan,
                 )
             finally:
                 journal.close()
+                count_instants(self.registry, tracer)
             seconds = time.perf_counter() - t0
             report = pipeline.last_report
             self.last_report = report
@@ -480,8 +466,8 @@ class StudyService:
                             outcome.name, cycle, error=outcome.error
                         )
                         if opened:
-                            self.tracer.instant(
-                                "serve.quarantine", "serve", step=outcome.name
+                            self.registry.inc(
+                                "repro_events_total", event="serve.quarantine"
                             )
                     # skipped_upstream: neither success nor the step's own fault
 
@@ -501,13 +487,7 @@ class StudyService:
                 # No journal is open here, so compaction is safe; it keeps
                 # exactly the latest run's records (the only resumable one).
                 journal_compact(self.journal_dir)
-            self.tracer.instant(
-                "serve.refresh",
-                "serve",
-                cycle=cycle,
-                failed=len(failed),
-                excluded=len(excluded),
-            )
+            self.registry.inc("repro_events_total", event="serve.refresh")
             self._write_status()
             return RefreshResult(
                 ran=True,
@@ -540,13 +520,6 @@ class StudyService:
                 behind=behind,
             )
         self.admission.record_result(result)
-        if result.status != "fresh":
-            self.tracer.instant(
-                "serve.stale" if result.status == "stale" else "serve.unavailable",
-                "serve",
-                experiment=eid,
-                reason=result.reason,
-            )
         return result
 
     def request(self, experiment_id: str, deadline: float | None = None) -> ServeResult:
@@ -567,15 +540,14 @@ class StudyService:
         """
         t0 = time.perf_counter()
         result = self._request(experiment_id, deadline)
-        if self.registry is not None:
-            self.registry.inc("repro_requests_total")
-            self.registry.observe("repro_request_seconds", time.perf_counter() - t0)
-            if result.reason in ("queue_full", "deadline"):
-                self.registry.inc("repro_shed_total", reason=result.reason)
-            elif result.status != "fresh":
-                self.registry.inc(
-                    "repro_degraded_total", reason=result.reason or result.status
-                )
+        self.registry.inc("repro_requests_total")
+        self.registry.observe("repro_request_seconds", time.perf_counter() - t0)
+        if result.reason in ("queue_full", "deadline"):
+            self.registry.inc("repro_shed_total", reason=result.reason)
+        elif result.status != "fresh":
+            self.registry.inc(
+                "repro_degraded_total", reason=result.reason or result.status
+            )
         return result
 
     def _request(
@@ -610,16 +582,10 @@ class StudyService:
                 and estimate is not None
                 and estimate > deadline
             ):
-                self.tracer.instant(
-                    "serve.shed", "serve", experiment=eid, reason="deadline"
-                )
                 return self._serve_from_memory(eid, "deadline")
             try:
                 slot = self.admission.admit()
             except QueueFull:
-                self.tracer.instant(
-                    "serve.shed", "serve", experiment=eid, reason="queue_full"
-                )
                 return self._serve_from_memory(eid, "queue_full")
             with slot:
                 outcome = self.refresh()
@@ -652,18 +618,9 @@ class StudyService:
         ``ready`` is the readiness-probe bit: at least one artifact is
         warm, so requests can be answered (possibly STALE). ``mode``
         distinguishes liveness flavors; counters come straight off the
-        trace bus and the admission controller.
+        metrics registry and the admission controller.
         """
         with self._lock:
-            events: dict[str, int] = {}
-            skipped: dict[str, int] = {}
-            for i in self.tracer.instants:
-                events[i.name] = events.get(i.name, 0) + 1
-                if i.name == "ingest.skipped_rows":
-                    reader = str(i.args.get("reader", "unknown"))
-                    skipped[reader] = skipped.get(reader, 0) + int(
-                        i.args.get("count", 0) or 0
-                    )
             now = self._clock()
             staleness = (
                 max(now - self._last_refresh_at, 0.0)
@@ -695,27 +652,28 @@ class StudyService:
                 "staleness_seconds": staleness,
                 "wal": self.wal.stats(),
                 "admission": self.admission.stats(),
-                "events": events,
-                "skipped_rows": skipped,
+                "events": self.registry.counts("repro_events_total", "event"),
+                "skipped_rows": self.registry.counts(
+                    "repro_skipped_rows_total", "reader"
+                ),
                 "refresh_interval_seconds": self.config.status_interval,
                 "slo": None,
             }
-            if self.registry is not None:
-                behind = max(
-                    (int(m["behind"]) for m in payload["artifacts"].values()),
-                    default=0,
-                )
-                self.registry.set_gauge("repro_staleness_rows_behind", behind)
-                self.registry.set_gauge(
-                    "repro_queue_depth", payload["admission"]["waiting"]
-                )
-                # Reloaded on every probe so a redeclared slo.json takes
-                # effect without a restart (it's one tiny file).
-                policy = load_slo(self.root)
-                if policy is not None:
-                    verdict = evaluate_slo(policy, self.registry)
-                    payload["slo"] = "ok" if verdict["ok"] else "breached"
-                    payload["slo_detail"] = verdict["checks"]
+            behind = max(
+                (int(m["behind"]) for m in payload["artifacts"].values()),
+                default=0,
+            )
+            self.registry.set_gauge("repro_staleness_rows_behind", behind)
+            self.registry.set_gauge(
+                "repro_queue_depth", payload["admission"]["waiting"]
+            )
+            # Reloaded on every probe so a redeclared slo.json takes
+            # effect without a restart (it's one tiny file).
+            policy = load_slo(self.root)
+            if policy is not None:
+                verdict = evaluate_slo(policy, self.registry)
+                payload["slo"] = "ok" if verdict["ok"] else "breached"
+                payload["slo_detail"] = verdict["checks"]
             return payload
 
     def publish_status(self) -> dict[str, Any]:
@@ -735,8 +693,7 @@ class StudyService:
         self._atomic_write(
             self.status_path, json.dumps(payload, sort_keys=True) + "\n"
         )
-        if self.registry is not None and self._ring is not None:
-            self._ring.publish(self.registry.snapshot(), self.registry.to_text())
+        self._ring.publish(self.registry.snapshot(), self.registry.to_text())
         return payload
 
     # -- shutdown --------------------------------------------------------------
@@ -755,7 +712,7 @@ class StudyService:
             self.wal.flush()
             self.wal.close()
             self._save_state()
-            self.tracer.instant("serve.drain", "serve")
+            self.registry.inc("repro_events_total", event="serve.drain")
             self._write_status()
 
     def close(self) -> None:

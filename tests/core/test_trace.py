@@ -1,4 +1,4 @@
-"""Tracing: deterministic export, span semantics, critical path, Prometheus.
+"""Tracing: deterministic export, span semantics, critical path, metrics.
 
 The load-bearing guarantee mirrors the executor-equivalence property the
 parallel suite pins down: the *normalized* trace export is byte-identical
@@ -22,6 +22,7 @@ from repro.core.trace import (
     instant,
     validate_perfetto,
 )
+from repro.obs.registry import registry_from_metrics
 
 
 def _source(inputs):
@@ -281,26 +282,30 @@ class TestCriticalPath:
             analyze_perfetto({})
 
 
+def _metrics_text(executor, normalize=False):
+    """``repro trace --metrics-out``'s projection of one traced run."""
+    tracer = Tracer()
+    pipeline = Pipeline(_steps(), ArtifactCache())
+    pipeline.run(executor=executor, max_workers=2, trace=tracer)
+    registry = registry_from_metrics(pipeline.last_metrics, tracer)
+    return registry.to_text(normalize=normalize)
+
+
 class TestPrometheusExport:
     def test_families_and_counts(self):
-        tracer = _traced_run("sequential")
-        text = tracer.to_prometheus()
-        assert "# TYPE repro_run_wall_seconds gauge" in text
-        assert 'repro_run_steps_total{outcome="ok"} 3' in text
-        assert 'repro_step_attempts_total{step="dbl"} 1' in text
+        text = _metrics_text("sequential")
+        assert "# TYPE repro_steps_total counter" in text
+        assert 'repro_steps_total{outcome="ok"} 3' in text
+        assert "repro_step_wall_seconds_count 3" in text
         assert 'repro_events_total{event="cache.miss"} 3' in text
         assert text.endswith("\n")
 
     def test_deterministic_label_order(self):
-        first = _traced_run("sequential").to_prometheus().splitlines()
-        second = _traced_run("sequential").to_prometheus().splitlines()
-
-        def strip(lines):
-            # Drop measured values and the per-run id label; what must be
-            # stable is the family/label ordering itself.
-            return [line.split(" ")[0].split('{run=')[0] for line in lines]
-
-        assert strip(first) == strip(second)
+        # Normalized, the projection drops every measured value (bucket
+        # bounds, sums), so two runs of one DAG render the same bytes.
+        first = _metrics_text("sequential", normalize=True)
+        assert _metrics_text("sequential", normalize=True) == first
+        assert 'repro_events_total{event="cache.put"} 3' in first
 
 
 class TestResourceProbe:

@@ -11,13 +11,27 @@ import random
 
 import pytest
 
+from repro.core.metrics import ExecutorMetrics, StepMetric
 from repro.core.trace import Tracer
 from repro.obs.promfmt import PromWriter, escape_label, validate_prometheus
 from repro.obs.registry import (
     MetricsRegistry,
+    count_instants,
     merge_snapshots,
     registry_from_metrics,
 )
+
+
+def _one_step_run():
+    """A traced one-step run's record: its metrics and its tracer."""
+    metrics = ExecutorMetrics(
+        mode="sequential",
+        max_workers=1,
+        steps=[StepMetric(name="gen", key="k", cached=False, wall_seconds=0.01)],
+    )
+    tracer = Tracer()
+    tracer.instant("cache.miss", "cache", step="gen")
+    return metrics, tracer
 
 
 class TestCounters:
@@ -186,6 +200,21 @@ class TestRegistryFromMetrics:
         assert reg.value("repro_steps_total", outcome="ok") == 2
         assert reg.histogram_count("repro_step_wall_seconds") == 2
 
+    def test_tracer_instants_fold_into_event_and_skip_counters(self):
+        metrics, tracer = _one_step_run()
+        untraced = registry_from_metrics(metrics).to_text()
+        assert "repro_events_total" not in untraced
+        tracer.instant("ingest.skipped_rows", "ingest", reader="read_x", count=2)
+        tracer.instant("ingest.skipped_rows", "ingest", reader="read_x", count=3)
+        reg = MetricsRegistry()
+        count_instants(reg, tracer)
+        assert reg.counts("repro_events_total", "event") == {
+            "cache.miss": 1,
+            "ingest.skipped_rows": 2,
+        }
+        # Rows, not reader invocations.
+        assert reg.counts("repro_skipped_rows_total", "reader") == {"read_x": 5}
+
 
 class TestPrometheusFormat:
     def test_registry_text_passes_shared_validator(self):
@@ -194,10 +223,9 @@ class TestPrometheusFormat:
         assert validate_prometheus(reg.to_text(normalize=True)) == []
 
     def test_tracer_exposition_passes_shared_validator(self):
-        tracer = Tracer()
-        tracer.instant("cache.miss", "cache", step="gen")
-        tracer.add_span("step:gen", "step", 0.0, 0.01, step="gen", wall=0.01)
-        assert validate_prometheus(tracer.to_prometheus()) == []
+        reg = registry_from_metrics(*_one_step_run())
+        assert validate_prometheus(reg.to_text()) == []
+        assert validate_prometheus(reg.to_text(normalize=True)) == []
 
     def test_help_and_type_lines_emitted(self):
         reg = MetricsRegistry()
@@ -211,10 +239,9 @@ class TestPrometheusFormat:
         ) < lines.index("# TYPE repro_steps_total counter")
 
     def test_tracer_emits_help_lines(self):
-        tracer = Tracer()
-        tracer.instant("cache.miss", "cache")
-        text = tracer.to_prometheus()
-        assert "# HELP repro_events_total" in text
+        text = registry_from_metrics(*_one_step_run()).to_text()
+        assert "# HELP repro_events_total Instant events by family." in text
+        assert 'repro_events_total{event="cache.miss"} 1' in text
         assert text.endswith("\n")
 
     def test_label_escaping_round_trips(self):

@@ -6,7 +6,13 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.core.trace import validate_perfetto
+from repro.core import ArtifactCache, Pipeline, PipelineStep
+from repro.core.trace import Tracer, validate_perfetto
+from repro.obs.promfmt import validate_prometheus
+
+
+def _one(inputs):
+    return 1
 
 
 def run_cli(*argv):
@@ -45,8 +51,11 @@ class TestTraceCommand:
         )
         assert code == 0
         body = metrics_path.read_text()
-        assert "# TYPE repro_run_wall_seconds gauge" in body
-        assert 'repro_step_wall_seconds{step="study"}' in body
+        assert validate_prometheus(body) == []
+        assert "# TYPE repro_steps_total counter" in body
+        assert 'repro_steps_total{outcome="ok"}' in body
+        assert "# TYPE repro_step_wall_seconds histogram" in body
+        assert 'repro_events_total{event="cache.miss"}' in body
 
     def test_load_analyzes_existing_trace(self, tmp_path):
         trace_path = tmp_path / "trace.json"
@@ -57,6 +66,22 @@ class TestTraceCommand:
         assert code == 0
         assert "trace schema ok" in text
         assert "critical path:" in text
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--out", "again.json"], ["--metrics-out", "m.prom"], ["--resources"],
+         ["--jobs", "2"]],
+        ids=lambda flags: flags[0],
+    )
+    def test_load_refuses_run_only_flags(self, tmp_path, monkeypatch, flags):
+        monkeypatch.chdir(tmp_path)
+        tracer = Tracer()
+        Pipeline([PipelineStep("a", _one)], ArtifactCache()).run(trace=tracer)
+        tracer.write_perfetto("trace.json")
+        code, text = run_cli("trace", "--load", "trace.json", *flags)
+        assert code == 2
+        assert f"error: {flags[0]} " in text
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.json"]
 
     def test_load_missing_file_is_usage_error(self, tmp_path):
         code, text = run_cli("trace", "--load", str(tmp_path / "absent.json"))

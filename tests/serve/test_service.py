@@ -1,6 +1,10 @@
 """StudyService behavior: incremental dirtiness, shedding, quarantine,
 read-only degradation, drain, and restart warm-up."""
 
+import gc
+import os
+import tracemalloc
+
 import pytest
 
 from repro.core.faults import (
@@ -10,6 +14,7 @@ from repro.core.faults import (
     PoisonRows,
     SkewedClock,
 )
+from repro.obs.promfmt import validate_prometheus
 from repro.serve import (
     ServeConfig,
     ServiceDraining,
@@ -268,15 +273,62 @@ class TestObservability:
     def test_poison_rows_surface_as_skip_counters(self, tmp_path, study_lines):
         responses, sacct = study_lines
         garbage = PoisonRows(count=2).rows("responses")
-        svc = make_service(tmp_path, (responses + garbage, sacct))
+        svc = make_service(tmp_path, (responses + garbage, sacct[:40]))
         result = svc.refresh()
         assert not result.failed  # tolerant readers absorb the poison
+        assert svc.status()["skipped_rows"] == {"read_responses_jsonl": 2}
+        # A sacct-only refresh serves the responses step from cache, which
+        # parses nothing, so the count must not grow.
+        svc.ingest("sacct", sacct, batch="s0")
+        result = svc.refresh()
+        statuses = {o.name: o.status for o in result.report.outcomes}
+        assert statuses["responses"] in ("cached", "replayed")
         status = svc.status()
-        assert status["skipped_rows"].get("read_responses_jsonl", 0) >= 2
-        prom = svc.tracer.to_prometheus()
-        assert "repro_skipped_rows_total" in prom
-        assert 'reader="read_responses_jsonl"' in prom
+        assert status["skipped_rows"] == {"read_responses_jsonl": 2}
+        assert status["skipped_rows"] == svc.registry.counts(
+            "repro_skipped_rows_total", "reader"
+        )
+        line = 'repro_skipped_rows_total{reader="read_responses_jsonl"} 2'
+        text = svc.registry.to_text()
+        assert validate_prometheus(text) == []
+        assert line in text.splitlines()
         svc.close()
+        published = (tmp_path / "metrics" / "current.prom").read_text()
+        assert line in published.splitlines()
+
+    def test_trace_memory_is_bounded_across_cycles(self, tmp_path, study_lines):
+        # Each refresh traces into its own Tracer, which is folded into the
+        # registry and dropped, so nothing the trace module allocates may
+        # pile up from cycle to cycle.
+        responses, sacct = study_lines
+        svc = make_service(tmp_path, (responses, sacct[:31]))
+        svc.refresh()
+        pattern = "*" + os.path.join("repro", "core", "trace.py")
+
+        def cycles(start, stop):
+            for n in range(start, stop):
+                svc.ingest("sacct", sacct[: 31 + n], batch="s0")  # one new row
+                for _ in range(2):
+                    assert svc.request("X1", deadline=1e-9).reason == "deadline"
+                assert svc.refresh().ran
+
+        def live_bytes():
+            gc.collect()
+            snap = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.Filter(True, pattern)]
+            )
+            return sum(stat.size for stat in snap.statistics("filename"))
+
+        tracemalloc.start()
+        try:
+            cycles(1, 6)
+            after_5 = live_bytes()
+            cycles(6, 26)
+            after_25 = live_bytes()
+        finally:
+            tracemalloc.stop()
+        svc.close()
+        assert after_25 - after_5 < 4096
 
     def test_clock_skew_never_goes_negative(self, tmp_path, study_lines):
         clock = SkewedClock(jumps={3: -1000.0, 6: 2000.0})

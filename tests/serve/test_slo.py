@@ -243,15 +243,6 @@ class TestServiceRegistry:
         assert svc.registry.value("repro_shed_total", reason="deadline") == 1
         svc.close()
 
-    def test_metrics_disabled_leaves_no_surface(self, tmp_path, study_lines):
-        svc = make_service(tmp_path, study_lines, metrics=False)
-        svc.refresh()
-        svc.request("X1")
-        svc._write_status()
-        svc.close()
-        assert svc.registry is None
-        assert read_ring_snapshot(tmp_path) is None
-
 
 class TestMetricsRing:
     def test_rotation_is_bounded(self, tmp_path):
