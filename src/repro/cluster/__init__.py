@@ -7,7 +7,8 @@ which is private. This package provides the full substitute pipeline:
   columnar (struct-of-arrays) container for vectorized aggregation;
 * :mod:`repro.cluster.partitions` — cluster/partition capacity model;
 * :mod:`repro.cluster.workload` — synthetic workload generator with
-  per-field job mixes and a growing GPU arrival rate;
+  per-field job mixes and a growing GPU arrival rate, emitting a columnar
+  :class:`SubmissionTable` (rows are :class:`SubmittedJob`);
 * :mod:`repro.cluster.scheduler` — FCFS + EASY-backfill scheduler simulator
   that turns submissions into started/completed records with realistic
   queue-wait structure;
@@ -22,7 +23,12 @@ buckets months as 30.4375 days (``MONTH_SECONDS``).
 
 from repro.cluster.records import JobRecord, JobState, JobTable
 from repro.cluster.partitions import ClusterConfig, Partition
-from repro.cluster.workload import SubmittedJob, WorkloadModel, WorkloadParams
+from repro.cluster.workload import (
+    SubmissionTable,
+    SubmittedJob,
+    WorkloadModel,
+    WorkloadParams,
+)
 from repro.cluster.scheduler import SchedulerResult, simulate_schedule
 from repro.cluster.sacct import parse_sacct, write_sacct
 from repro.cluster.health import (
@@ -72,6 +78,7 @@ __all__ = [
     "WorkloadParams",
     "WorkloadModel",
     "SubmittedJob",
+    "SubmissionTable",
     "simulate_schedule",
     "SchedulerResult",
     "parse_sacct",

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.cluster.partitions import ClusterConfig, Partition
 from repro.cluster.scheduler import simulate_schedule
-from repro.cluster.workload import SubmittedJob
+from repro.cluster.workload import SubmissionTable, SubmittedJob
 
 __all__ = ["ScenarioOutcome", "scaled_partition", "compare_what_if"]
 
@@ -78,7 +78,7 @@ def _outcome(label: str, table) -> ScenarioOutcome:
 
 
 def compare_what_if(
-    jobs: Sequence[SubmittedJob],
+    jobs: SubmissionTable | Sequence[SubmittedJob],
     scenarios: Mapping[str, ClusterConfig],
     seed: int = 0,
     **schedule_kwargs,
@@ -92,6 +92,8 @@ def compare_what_if(
     """
     if not scenarios:
         raise ValueError("no scenarios given")
+    if not isinstance(jobs, SubmissionTable):
+        jobs = SubmissionTable.from_jobs(jobs)  # once, not per scenario
     outcomes: dict[str, ScenarioOutcome] = {}
     for label, cluster in scenarios.items():
         result = simulate_schedule(

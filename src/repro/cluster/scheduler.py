@@ -28,7 +28,8 @@ from __future__ import annotations
 
 from bisect import bisect_right, insort
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
+from itertools import chain
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -36,7 +37,7 @@ import numpy as np
 from repro.cluster.allocation import NodeGranularAllocator, PooledAllocator
 from repro.cluster.partitions import ClusterConfig, DEFAULT_CLUSTER, Partition
 from repro.cluster.records import Categorical, JobState, JobTable
-from repro.cluster.workload import SubmittedJob
+from repro.cluster.workload import SubmissionTable, SubmittedJob
 
 __all__ = ["SchedulerResult", "simulate_schedule"]
 
@@ -61,21 +62,20 @@ class SchedulerResult:
     backfilled: int
 
 
-# Queued jobs are flat tuples: everything the event loop touches, resolved
-# once at validation time so the per-event code never chases SubmittedJob
-# attributes (or pays a dataclass __init__) again. Layout:
-#   (job_id, user, field, submit, cores, gpus, req_walltime, duration, state)
-# where user/field are int codes factorized during the validation pass,
-# duration is the actual occupancy decided by terminal state, and state is a
-# pre-resolved int code into _STATE_CATEGORIES.
-_Q_ID, _Q_USER, _Q_SUBMIT, _Q_CORES, _Q_GPUS, _Q_WALL = 0, 1, 3, 4, 5, 6
+# Queued jobs are flat tuples of what the event loop reads, zipped from
+# the submission columns once. Layout:
+#   (row, user, submit, cores, gpus, req_walltime, duration)
+# where row is the job's index in (submit, job_id) order, user is its code
+# in the stream's user block, and duration is the occupancy its terminal
+# state decides. A started job is recorded as (row, start) only.
+_Q_ROW, _Q_USER, _Q_SUBMIT, _Q_CORES, _Q_GPUS, _Q_WALL, _Q_DURATION = range(7)
 
 
 class _FairshareLedger:
     """Per-user usage with exponential decay (shared across partitions).
 
-    Users are identified by the int codes assigned in the validation pass;
-    the code <-> label mapping is a bijection, so decayed-usage ordering is
+    Users are identified by their codes in the stream's user block; the
+    code <-> label mapping is a bijection, so decayed-usage ordering is
     unchanged from the string-keyed form.
     """
 
@@ -130,9 +130,9 @@ class _PartitionSim:
         # (end_time, seq) via insort so the EASY shadow scan never re-sorts.
         self.running: list[tuple[float, int, int, int, object]] = []
         self._seq = 0
-        # Accounting columns, one row per started job (columnar from the
-        # start: building JobRecord objects per job dominated the hot path).
-        self.rows: list[tuple] = []
+        # (row, start) per started job; every other accounting column is
+        # gathered from the submission arrays afterwards.
+        self.started: list[tuple[int, float]] = []
         self.backfilled = 0
         # Fairshare queue order is dirty after membership or usage changes.
         self._dirty = True
@@ -169,12 +169,11 @@ class _PartitionSim:
         # usage(u, now) = [raw_u * 2^(stamp_u/h)] * 0.5^(now/h) shares the
         # 0.5^(now/h) factor across users — so the sort only needs to rerun
         # after a charge or a queue append (removals keep the order sorted).
+        # Ties go to the earlier (submit, job_id), which is the lower row.
         if self.ledger is None or not self._dirty:
             return
         usage = self.ledger.usage
-        self.pending.sort(
-            key=lambda qj: (usage(qj[_Q_USER], now), qj[_Q_SUBMIT], qj[_Q_ID])
-        )
+        self.pending.sort(key=lambda qj: (usage(qj[_Q_USER], now), qj[_Q_ROW]))
         self._dirty = False
 
     def _shadow(self, head: tuple) -> tuple[float, int, int]:
@@ -195,17 +194,14 @@ class _PartitionSim:
 
     def _start(self, qj: tuple, now: float) -> None:
         """Start ``qj`` now (backfill path; the head path inlines this)."""
-        job_id, user, field, submit, cores, gpus, req_wall, duration, state = qj
+        row, user, _, cores, gpus, _, duration = qj
         token = self._alloc_allocate(cores, gpus)
-        end = now + duration
-        insort(self.running, (end, self._seq, cores, gpus, token))
+        insort(self.running, (now + duration, self._seq, cores, gpus, token))
         self._seq += 1
         if self.ledger is not None:
             self.ledger.charge(user, cores * duration, now)
             self._dirty = True
-        self.rows.append(
-            (job_id, user, field, submit, now, end, cores, gpus, state, req_wall)
-        )
+        self.started.append((row, now))
 
     def try_schedule(self, now: float) -> None:
         # Order once per event; usage charged during this event reorders the
@@ -220,7 +216,7 @@ class _PartitionSim:
         fits = self._alloc_fits
         allocate = self._alloc_allocate
         running = self.running
-        rows_append = self.rows.append
+        started_append = self.started.append
         seq = self._seq
         while pending:
             qj = pending[0]
@@ -230,15 +226,13 @@ class _PartitionSim:
                 break
             del pending[0]
             token = allocate(cores, gpus)
-            end = now + qj[7]  # duration
-            insort(running, (end, seq, cores, gpus, token))
+            duration = qj[_Q_DURATION]
+            insort(running, (now + duration, seq, cores, gpus, token))
             seq += 1
             if ledger is not None:
-                ledger.charge(qj[_Q_USER], cores * qj[7], now)
+                ledger.charge(qj[_Q_USER], cores * duration, now)
                 self._dirty = True
-            rows_append(
-                (qj[0], qj[1], qj[2], qj[3], now, end, cores, gpus, qj[8], qj[6])
-            )
+            started_append((qj[_Q_ROW], now))
         self._seq = seq
         if not pending or not self.backfill:
             return
@@ -267,7 +261,7 @@ class _PartitionSim:
 
 
 # Terminal states as small int codes into a sorted category table: the
-# per-job loop and the result rows never touch state strings, and the final
+# per-job arrays and the result never touch state strings, and the final
 # assembly hands the codes straight to a Categorical block.
 _STATE_CATEGORIES: tuple[str, ...] = tuple(sorted(s.value for s in JobState))
 _CANCELLED = _STATE_CATEGORIES.index(JobState.CANCELLED.value)
@@ -277,23 +271,75 @@ _TIMEOUT = _STATE_CATEGORIES.index(JobState.TIMEOUT.value)
 
 _INF = float("inf")
 
-# Single C-level multi-attrgetter: cheaper than nine LOAD_ATTRs per job in
-# the validation/terminal-state pass.
-_EXTRACT = attrgetter(
-    "partition",
-    "cores",
-    "gpus",
-    "runtime",
-    "requested_walltime",
-    "job_id",
-    "user",
-    "field",
-    "submit",
-)
+
+def _uniform(low: float, high: float, draws: np.ndarray) -> np.ndarray:
+    """``Generator.uniform(low, high)`` at each ``next_double`` in ``draws``:
+    numpy computes ``low + (high - low) * next_double``."""
+    return low + (high - low) * draws
+
+
+def _terminal_states(
+    rng: np.random.Generator,
+    runtime: np.ndarray,
+    walltime: np.ndarray,
+    failure_rate: float,
+    cancel_rate: float,
+    timeout_rate: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """State codes and occupied durations of ``n`` jobs, in row order.
+
+    The draws are those of a per-job scalar walk over ``rng``: one
+    ``rng.random()`` coin per job, then one ``rng.uniform(a, b)`` for a
+    failed or cancelled job. Cancelled jobs are modelled as very short runs
+    so every record keeps submit <= start <= end. A job takes one or two
+    draws, so one block of ``2n`` doubles holds any walk; the walk is
+    located in it with array operations, and ``rng`` is then left exactly
+    where the scalar walk would leave it.
+    """
+    n = runtime.size
+    saved = rng.bit_generator.state
+    block = rng.random(2 * n)
+    past_failure = block - failure_rate
+    # A coin at position p is followed by a uniform draw iff extra[p].
+    extra = (block < failure_rate) | (past_failure < cancel_rate)
+    # Position p holds a coin iff p == 0 or not (coin[p-1] and extra[p-1]):
+    # after a non-extra position the next is a coin, and along a run of
+    # extra positions starting at s, coins sit at s, s+2, s+4, ...
+    position = np.arange(2 * n)
+    run_start = extra.copy()
+    run_start[1:] &= ~extra[:-1]
+    start_of = np.maximum.accumulate(np.where(run_start, position, 0))
+    coin = np.ones(2 * n, dtype=bool)
+    coin[1:] = ~extra[:-1] | ((position[1:] - start_of[:-1]) % 2 == 0)
+    coins = np.flatnonzero(coin)[:n]
+
+    u = block[coins]
+    rest = past_failure[coins]
+    draws = block[coins + 1]  # the uniform's draw, where one follows
+    failed = u < failure_rate
+    cancelled = ~failed & (rest < cancel_rate)
+    timeout = ~failed & ~cancelled & (rest - cancel_rate < timeout_rate)
+    state = np.full(n, _COMPLETED, dtype=np.int32)
+    state[timeout] = _TIMEOUT
+    state[cancelled] = _CANCELLED
+    state[failed] = _FAILED
+    duration = runtime.copy()
+    duration[timeout] = walltime[timeout]
+    duration[failed] = np.maximum(
+        60.0, runtime[failed] * _uniform(0.05, 0.8, draws[failed])
+    )
+    duration[cancelled] = np.maximum(
+        10.0, runtime[cancelled] * _uniform(0.0, 0.1, draws[cancelled])
+    )
+
+    last = coins[-1]
+    rng.bit_generator.state = saved
+    rng.random(out=block[: last + 1 + extra[last]])
+    return state, duration
 
 
 def simulate_schedule(
-    jobs: Sequence[SubmittedJob],
+    jobs: SubmissionTable | Sequence[SubmittedJob],
     cluster: ClusterConfig | None = None,
     rng: np.random.Generator | None = None,
     backfill: bool = True,
@@ -310,12 +356,17 @@ def simulate_schedule(
     Parameters
     ----------
     jobs:
-        Submission stream (any order; sorted internally by submit time).
+        Submission stream (any order; sorted internally by submit time, then
+        job id): a :class:`~repro.cluster.workload.SubmissionTable`, or
+        :class:`~repro.cluster.workload.SubmittedJob` rows, which are
+        turned into one first.
     cluster:
         Capacity model; defaults to :data:`~repro.cluster.partitions.DEFAULT_CLUSTER`.
     rng:
         Seeded generator for terminal-state assignment; defaults to
-        ``default_rng(0)``.
+        ``default_rng(0)``. It is advanced exactly as by one
+        ``rng.random()`` per job, in sorted order, plus one
+        ``rng.uniform`` for each failed or cancelled job.
     backfill:
         Enable EASY backfill (the ablation bench flips this off).
     backfill_depth:
@@ -334,7 +385,8 @@ def simulate_schedule(
     ------
     ValueError
         If a terminal-state rate is negative or the rates sum to >= 1, or a
-        job names an unknown partition or can never fit on it.
+        job names an unknown partition or can never fit on it (the first
+        such job in sorted order is named).
     """
     rates = dict(failure_rate=failure_rate, cancel_rate=cancel_rate, timeout_rate=timeout_rate)
     for name, rate in rates.items():
@@ -346,98 +398,75 @@ def simulate_schedule(
     rng = rng if rng is not None else np.random.default_rng(0)
     if priority not in _PRIORITIES:
         raise ValueError(f"priority must be one of {_PRIORITIES}, got {priority!r}")
-    jobs = list(jobs)
-    if jobs:
-        # lexsort on (submit, job_id) columns beats sorted()+attrgetter at
-        # this scale; the key pairs are unique so the order is identical.
-        submit_key = np.fromiter((j.submit for j in jobs), dtype=float, count=len(jobs))
-        id_key = np.fromiter((j.job_id for j in jobs), dtype=np.int64, count=len(jobs))
-        ordered = [jobs[i] for i in np.lexsort((id_key, submit_key))]
-    else:
-        ordered = []
-
+    stream = jobs if isinstance(jobs, SubmissionTable) else SubmissionTable.from_jobs(jobs)
     ledger = _FairshareLedger(fairshare_halflife) if priority == "fairshare" else None
     sims = {
         p.name: _PartitionSim(p, backfill, backfill_depth, node_granular, ledger)
         for p in cluster
     }
-    # (partition capacity, queue-append) triples resolved once; Partition.fits
-    # and per-partition dict/method lookups would otherwise run per job.
-    per_partition = {p.name: [] for p in cluster}
-    capacity = {
-        p.name: (p.total_cores, p.total_gpus, per_partition[p.name].append)
-        for p in cluster
+    n = len(stream)
+    if not n:
+        return SchedulerResult(table=JobTable.empty(), backfilled=0)
+
+    # Rows in (submit, job_id) order; the key pairs are unique.
+    order = np.lexsort((stream.job_id, stream.submit))
+    job_id = stream.job_id[order]
+    submit = stream.submit[order]
+    cores = stream.cores[order]
+    gpus = stream.gpus[order]
+    walltime = stream.requested_walltime[order]
+    part = stream.partition.codes[order]
+
+    names = stream.partition.categories
+    # An unknown partition has room for nothing, so its jobs fail the fit;
+    # the table's own checks already hold cores >= 1 and gpus >= 0.
+    targets = [cluster[name] if name in cluster else None for name in names]
+    max_cores = np.array([-1 if p is None else p.total_cores for p in targets], dtype=np.int64)
+    max_gpus = np.array([-1 if p is None else p.total_gpus for p in targets], dtype=np.int64)
+    fits = (cores <= max_cores[part]) & (gpus <= max_gpus[part])
+    if not fits.all():
+        i = int(np.argmin(fits))
+        name = names[part[i]]
+        if name not in cluster:
+            raise ValueError(f"job {job_id[i]} targets unknown partition {name!r}")
+        raise ValueError(
+            f"job {job_id[i]} requests ({cores[i]} cores, {gpus[i]} gpus) "
+            f"which can never fit partition {name!r}"
+        )
+    state, duration = _terminal_states(
+        rng, stream.runtime[order], walltime, failure_rate, cancel_rate, timeout_rate
+    )
+
+    # Group the queue entries per partition (partitions are independent),
+    # keeping sorted order within each.
+    by_part = np.argsort(part, kind="stable")
+    columns = [
+        column[by_part].tolist()
+        for column in (
+            np.arange(n), stream.user.codes[order], submit, cores, gpus, walltime, duration
+        )
+    ]
+    entries = list(zip(*columns))
+    bounds = np.cumsum(np.bincount(part, minlength=len(names))).tolist()
+    per_partition = {
+        name: (entries[lo:hi], columns[_Q_SUBMIT][lo:hi])
+        for name, lo, hi in zip(names, [0, *bounds], bounds)
     }
 
-    # Validate, decide terminal states, and group submissions per partition
-    # in one pass (partitions are independent). Terminal-state logic is
-    # inlined and the SubmittedJob attributes are pulled through one C-level
-    # attrgetter: one decision per job, so even call overhead shows up here.
-    # The cancelled branch models queue cancellations as very short runs so
-    # every record keeps submit <= start <= end.
-    rng_random = rng.random
-    rng_uniform = rng.uniform
-    # Factorize user/field inline: codes are assigned in first-seen order
-    # and remapped to sorted category tables at assembly time. The event
-    # loop, fairshare ledger, and result rows only ever touch small ints.
-    user_index: dict[str, int] = {}
-    field_index: dict[str, int] = {}
-    user_setdefault = user_index.setdefault
-    field_setdefault = field_index.setdefault
-    user_len = user_index.__len__
-    field_len = field_index.__len__
-    for partition, cores, gpus, runtime, req_wall, job_id, user, field, submit in map(
-        _EXTRACT, ordered
-    ):
-        entry = capacity.get(partition)
-        if entry is None:
-            raise ValueError(f"job {job_id} targets unknown partition {partition!r}")
-        max_cores, max_gpus, append = entry
-        if not (1 <= cores <= max_cores and 0 <= gpus <= max_gpus):
-            raise ValueError(
-                f"job {job_id} requests ({cores} cores, {gpus} gpus) "
-                f"which can never fit partition {partition!r}"
-            )
-        u = rng_random()
-        if u < failure_rate:
-            state = _FAILED
-            duration = max(60.0, runtime * rng_uniform(0.05, 0.8))
-        elif (u := u - failure_rate) < cancel_rate:
-            state = _CANCELLED
-            duration = max(10.0, runtime * rng_uniform(0.0, 0.1))
-        elif u - cancel_rate < timeout_rate:
-            state = _TIMEOUT
-            duration = req_wall
-        else:
-            state = _COMPLETED
-            duration = runtime
-        append(
-            (
-                job_id,
-                user_setdefault(user, user_len()),
-                field_setdefault(field, field_len()),
-                submit,
-                cores,
-                gpus,
-                req_wall,
-                duration,
-                state,
-            )
-        )
-
     track_dirty = ledger is not None
-    for name, queue in per_partition.items():
-        sim = sims[name]
+    for name, sim in sims.items():
+        if name not in per_partition:
+            continue
+        queue, submits = per_partition[name]
         pending = sim.pending
         running = sim.running
         release_until = sim.release_until
         release = sim.allocator.release
         try_schedule = sim.try_schedule
         append_pending = pending.append
-        submits = [qj[_Q_SUBMIT] for qj in queue]
         submits.append(_INF)  # sentinel: removes idx-bound checks below
         idx = 0
-        n = len(queue)
+        queued = len(queue)
         # Event loop: events are submissions and completions; ties go to the
         # submission so completions at the same instant free resources first
         # (release_until) and the new arrival schedules against them.
@@ -448,7 +477,7 @@ def simulate_schedule(
                 # the next arrival is released as one batch — and once the
                 # stream is exhausted the remaining drain is pure token
                 # bookkeeping that affects no accounting row, so stop.
-                if idx >= n:
+                if idx >= queued:
                     break
                 now = submits[idx]
                 release_until(now)
@@ -481,7 +510,7 @@ def simulate_schedule(
                         del running[0]
                     else:
                         release_until(now)
-            elif idx < n:
+            elif idx < queued:
                 now = submits[idx]
                 append_pending(queue[idx])
                 idx += 1
@@ -495,60 +524,33 @@ def simulate_schedule(
             if pending:
                 try_schedule(now)
 
-    # Columnar assembly: rows already carry int codes, so the result columns
-    # are built as numpy blocks directly — no object arrays, no per-row
-    # JobRecord materialization, and the string columns land in JobTable as
-    # ready-made Categorical blocks.
-    rows: list[tuple] = []
-    backfilled = 0
-    part_labels = sorted(sims)
-    part_code_of = {name: code for code, name in enumerate(part_labels)}
-    part_code_chunks: list[np.ndarray] = []
-    for name, sim in sims.items():
-        rows.extend(sim.rows)
-        part_code_chunks.append(
-            np.full(len(sim.rows), part_code_of[name], dtype=np.int32)
-        )
-        backfilled += sim.backfilled
-    if len(rows) != len(ordered):
-        raise RuntimeError(
-            f"scheduler lost jobs: {len(ordered)} submitted, {len(rows)} recorded"
-        )
-    if not rows:
-        return SchedulerResult(table=JobTable.empty(), backfilled=backfilled)
-    (job_id, user, field, submit, start, end, cores, gpus, state, req_wall) = zip(*rows)
-    id_col = np.array(job_id, dtype=np.int64)
-    order = np.argsort(id_col)
-
-    def _remap_sorted(index: dict[str, int]) -> tuple[np.ndarray, tuple[str, ...]]:
-        # First-seen codes -> codes into the sorted category table.
-        labels = list(index)
-        rank_order = sorted(range(len(labels)), key=labels.__getitem__)
-        lut = np.empty(len(labels), dtype=np.int32)
-        for rank, first_seen in enumerate(rank_order):
-            lut[first_seen] = rank
-        return lut, tuple(labels[i] for i in rank_order)
-
-    user_lut, user_cats = _remap_sorted(user_index)
-    field_lut, field_cats = _remap_sorted(field_index)
-    user_codes = user_lut[np.array(user, dtype=np.int32)][order]
-    field_codes = field_lut[np.array(field, dtype=np.int32)][order]
-    part_codes = np.concatenate(part_code_chunks)[order]
-    state_codes = np.array(state, dtype=np.int32)[order]
+    # The accounting columns, gathered from the submission arrays: the
+    # event loop recorded only each row's start.
+    started = [pair for sim in sims.values() for pair in sim.started]
+    if len(started) != n:
+        raise RuntimeError(f"scheduler lost jobs: {n} submitted, {len(started)} recorded")
+    pairs = np.fromiter(chain.from_iterable(started), dtype=float, count=2 * n)
+    start = np.empty(n)
+    start[pairs[0::2].astype(np.intp)] = pairs[1::2]
+    by_id = np.argsort(job_id)
+    source = order[by_id]  # result row -> stream row
     table = JobTable(
-        job_id=id_col[order],
-        # Every user/field in the index started a job, so those blocks are
-        # canonical by construction; partition/state tables may contain
-        # absent labels and get compacted by Categorical.canonical().
-        user=Categorical(user_codes, user_cats, _trusted_canonical=True),
-        field=Categorical(field_codes, field_cats, _trusted_canonical=True),
-        partition=Categorical(part_codes, tuple(part_labels)),
-        submit=np.array(submit, dtype=float)[order],
-        start=np.array(start, dtype=float)[order],
-        end=np.array(end, dtype=float)[order],
-        cores=np.array(cores, dtype=np.int64)[order],
-        gpus=np.array(gpus, dtype=np.int64)[order],
-        state=Categorical(state_codes, _STATE_CATEGORIES),
-        req_walltime=np.array(req_wall, dtype=float)[order],
+        job_id=job_id[by_id],
+        user=Categorical(
+            stream.user.codes[source], stream.user.categories, _trusted_canonical=True
+        ),
+        field=Categorical(
+            stream.field.codes[source], stream.field.categories, _trusted_canonical=True
+        ),
+        partition=Categorical(part[by_id], names, _trusted_canonical=True),
+        submit=submit[by_id],
+        start=start[by_id],
+        end=(start + duration)[by_id],
+        cores=cores[by_id],
+        gpus=gpus[by_id],
+        state=Categorical(state[by_id], _STATE_CATEGORIES),
+        req_walltime=walltime[by_id],
     )
-    return SchedulerResult(table=table, backfilled=backfilled)
+    return SchedulerResult(
+        table=table, backfilled=sum(sim.backfilled for sim in sims.values())
+    )

@@ -15,14 +15,23 @@ captures the structure the study's telemetry analyses depend on:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Mapping
 
 import numpy as np
 
 from repro.cluster.partitions import ClusterConfig, DEFAULT_CLUSTER
+from repro.cluster.records import Categorical, _as_categorical
 
-__all__ = ["SubmittedJob", "WorkloadParams", "WorkloadModel", "diurnal_intensity"]
+__all__ = [
+    "SubmittedJob",
+    "SubmissionTable",
+    "WorkloadParams",
+    "WorkloadModel",
+    "diurnal_intensity",
+]
 
 DAY = 86400.0
 WEEK = 7.0 * DAY
@@ -95,6 +104,120 @@ class SubmittedJob:
                 self.cores, self.gpus, self.runtime, self.requested_walltime,
             ),
         )
+
+
+_JOB_FIELDS = tuple(f.name for f in fields(SubmittedJob))
+# The nine fields of a job, or the nine columns of a table (same names).
+_job_fields = attrgetter(*_JOB_FIELDS)
+
+
+def _frozen(values, dtype) -> np.ndarray:
+    # A read-only view: an array passed in as is stays writeable for its owner.
+    arr = np.ascontiguousarray(values, dtype=dtype).view()
+    arr.setflags(write=False)
+    return arr
+
+
+class SubmissionTable:
+    """A submission stream as columns: one array per :class:`SubmittedJob` field.
+
+    ``job_id``, ``cores`` and ``gpus`` are ``int64`` arrays; ``submit``,
+    ``runtime`` and ``requested_walltime`` are ``float64``; ``user``,
+    ``field`` and ``partition`` are canonical
+    :class:`~repro.cluster.records.Categorical` blocks (raw string values
+    are factorized). Every array is read-only. The constructor applies
+    each :class:`SubmittedJob` rule as an array check; a violation raises
+    the row type's own error for the first bad job.
+
+    As a sequence, the table is its rows: ``len``, ``table[i]`` and
+    iteration give :class:`SubmittedJob` values with Python scalars.
+    Pickling is a constructor call on the arrays, so a loaded table is
+    checked again and its arrays travel as protocol-5 out-of-band frames.
+    """
+
+    __slots__ = _JOB_FIELDS
+
+    def __init__(
+        self,
+        job_id,
+        user,
+        field,
+        partition,
+        submit,
+        cores,
+        gpus,
+        runtime,
+        requested_walltime,
+    ) -> None:
+        self.job_id = _frozen(job_id, np.int64)
+        self.user = _as_categorical(user)
+        self.field = _as_categorical(field)
+        self.partition = _as_categorical(partition)
+        self.submit = _frozen(submit, float)
+        self.cores = _frozen(cores, np.int64)
+        self.gpus = _frozen(gpus, np.int64)
+        self.runtime = _frozen(runtime, float)
+        self.requested_walltime = _frozen(requested_walltime, float)
+        n = self.job_id.size
+        for name in _JOB_FIELDS:
+            column = getattr(self, name)
+            if len(column) != n:
+                raise ValueError(f"column {name!r} length {len(column)} != {n}")
+        # SubmittedJob.__post_init__, row for row (a NaN passes both).
+        bad = (
+            (self.cores < 1)
+            | (self.gpus < 0)
+            | (self.runtime <= 0)
+            | (self.requested_walltime < self.runtime)
+        )
+        if bad.any():
+            self[int(np.argmax(bad))]  # raises that job's SubmittedJob error
+
+    @classmethod
+    def from_jobs(cls, jobs: Iterable[SubmittedJob]) -> "SubmissionTable":
+        """The rows of ``jobs``, in order, as columns."""
+        rows = [_job_fields(job) for job in jobs]
+        return cls(*(zip(*rows) if rows else [()] * len(_JOB_FIELDS)))
+
+    def __len__(self) -> int:
+        return int(self.job_id.size)
+
+    def __getitem__(self, i: int) -> SubmittedJob:
+        i = range(len(self))[i]
+        return SubmittedJob(
+            int(self.job_id[i]),
+            self.user.categories[self.user.codes[i]],
+            self.field.categories[self.field.codes[i]],
+            self.partition.categories[self.partition.codes[i]],
+            float(self.submit[i]),
+            int(self.cores[i]),
+            int(self.gpus[i]),
+            float(self.runtime[i]),
+            float(self.requested_walltime[i]),
+        )
+
+    def __iter__(self) -> Iterator[SubmittedJob]:
+        columns = [
+            column.to_objects().tolist()
+            if isinstance(column, Categorical)
+            else column.tolist()
+            for column in _job_fields(self)
+        ]
+        return map(SubmittedJob, *columns)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SubmissionTable):
+            return NotImplemented
+        return all(
+            np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+            for a, b in zip(_job_fields(self), _job_fields(other))
+        )
+
+    def __repr__(self) -> str:
+        return f"SubmissionTable({len(self)} jobs)"
+
+    def __reduce__(self):
+        return (type(self), _job_fields(self))
 
 
 @dataclass(frozen=True)
@@ -281,12 +404,14 @@ class WorkloadModel:
 
     # -- public API ---------------------------------------------------------
 
-    def generate(self, rng: np.random.Generator) -> list[SubmittedJob]:
+    def generate(self, rng: np.random.Generator) -> SubmissionTable:
         """Generate the full submission stream, sorted by submit time.
 
         Arrival times come from ``rng``; every per-job quantity is one array
         draw, in submit order, from its own sub-stream of ``rng``
-        (``rng.spawn``). Job ids run 0..n-1 in submit order.
+        (``rng.spawn``). Job ids run 0..n-1 in submit order. The stream is
+        returned as columns; its rows are the :class:`SubmittedJob` values
+        a list of jobs would hold.
         """
         p = self.params
         cluster = self.cluster
@@ -338,20 +463,27 @@ class WorkloadModel:
         walltime = np.maximum(np.minimum(runtime * (1.0 + pad), cap), runtime)
 
         # Zipf-ish activity within each field: user of rank k has weight 1/k.
+        # User k of a field is labelled by the field's first four letters,
+        # so fields sharing a prefix share labels: one category per label.
         u = user_rng.random(n)
-        users = np.empty(n, dtype=object)
+        user_idx = np.empty(n, dtype=np.intp)
+        labels: list[str] = []
         for i, (name, mix) in enumerate(p.field_mixes.items()):
             in_field = field_idx == i
             cdf = np.cumsum(1.0 / np.arange(1, mix.n_users + 1))
             rank = np.searchsorted(cdf / cdf[-1], u[in_field], side="right")
-            labels = np.array([f"{name[:4]}{k:03d}" for k in range(mix.n_users)], dtype=object)
-            users[in_field] = labels[rank]
+            user_idx[in_field] = len(labels) + rank
+            labels.extend(f"{name[:4]}{k:03d}" for k in range(mix.n_users))
+        distinct, user_code = np.unique(labels, return_inverse=True)
 
-        columns = (
-            users,
-            np.array(list(p.field_mixes), dtype=object)[field_idx],
-            np.array([part.name for part in partitions], dtype=object)[part_idx],
-            submit, cores, gpus, runtime, walltime,
+        return SubmissionTable(
+            job_id=np.arange(n, dtype=np.int64),
+            user=Categorical(user_code[user_idx], distinct.tolist()),
+            field=Categorical(field_idx, list(p.field_mixes)),
+            partition=Categorical(part_idx, [part.name for part in partitions]),
+            submit=submit,
+            cores=cores,
+            gpus=gpus,
+            runtime=runtime,
+            requested_walltime=walltime,
         )
-        rows = zip(*(column.tolist() for column in columns))
-        return [SubmittedJob(job_id, *row) for job_id, row in enumerate(rows)]

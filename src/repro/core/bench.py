@@ -46,7 +46,10 @@ Each of these eight records the value it prices in its ``detail``.
 sweep's fitted exponents — and :func:`evaluate_gate` checks one row.
 
 Every unit is a pure function of a fixed seed, so run-to-run variance is
-scheduler noise only; ``min`` of ``repeats`` runs is the recorded number.
+scheduler noise only; ``min`` of ``repeats`` runs is the recorded number,
+except for ``simulate_schedule``: its gate compares medians against the
+committed run's spread, so it records the median of at least
+:data:`SCHEDULER_RUNS` runs.
 From PR 5 each unit also records memory: ``max_rss_kb`` (the process RSS
 high-watermark after the unit ran — monotonic across units, so compare
 like units across records, not units within one record) and
@@ -78,6 +81,7 @@ import numpy as np
 __all__ = [
     "BenchScale",
     "SCALES",
+    "SCHEDULER_RUNS",
     "SWEEP_FACTORS",
     "run_benchmarks",
     "run_scale_sweep",
@@ -134,6 +138,10 @@ SCALES: dict[str, BenchScale] = {
         months=1, jobs_per_day=120.0, cohort_n=60, repeats=2, scale_factor=0.1
     ),
 }
+
+#: Fewest runs behind the ``simulate_schedule`` row: its gate reads their
+#: median, and the committed run's interquartile range, from them.
+SCHEDULER_RUNS = 5
 
 #: Default job-volume multipliers per scale for :func:`run_scale_sweep`.
 #: ``full`` covers the tentpole 1x/10x/100x complexity curve; ``quick``
@@ -201,6 +209,19 @@ def _per_call(fn: Callable[[], object], calls: int = 200) -> float:
         return (time.perf_counter() - t0) / calls
 
     return min(block() for _ in range(3))
+
+
+def _bench_simulate_schedule(jobs, k: int) -> dict:
+    """Time ``simulate_schedule`` on ``jobs``: at least :data:`SCHEDULER_RUNS`
+    runs, and ``seconds`` is their median (the value its gate reads)."""
+    from repro.cluster import simulate_schedule
+
+    timing = _time_min_of_k(
+        lambda: simulate_schedule(jobs, rng=np.random.default_rng(0)),
+        max(k, SCHEDULER_RUNS),
+    )
+    timing["seconds"] = round(float(np.median(timing["runs"])), 6)
+    return timing
 
 
 def _bench_retry_overhead(jobs, k: int) -> dict:
@@ -859,7 +880,7 @@ def run_benchmarks(
         Override the scale's min-of-k repeat count.
     """
     # Imports are deferred so `repro --help` stays fast.
-    from repro.cluster import WorkloadModel, WorkloadParams, simulate_schedule
+    from repro.cluster import WorkloadModel, WorkloadParams
 
     if scale not in SCALES:
         raise ValueError(f"unknown scale {scale!r}; expected one of {sorted(SCALES)}")
@@ -873,9 +894,7 @@ def run_benchmarks(
     benchmarks: dict[str, dict] = {}
 
     jobs = model.generate(np.random.default_rng(0))
-    benchmarks["simulate_schedule"] = _time_min_of_k(
-        lambda: simulate_schedule(jobs, rng=np.random.default_rng(0)), k
-    )
+    benchmarks["simulate_schedule"] = _bench_simulate_schedule(jobs, k)
     benchmarks["simulate_schedule"]["detail"] = {
         "months": sc.months,
         "jobs": len(jobs),
@@ -911,7 +930,7 @@ def run_benchmarks(
 # -- scale sweep --------------------------------------------------------------
 
 
-def _tiled_jobs(base_jobs: list, tiles: int, window_seconds: float) -> list:
+def _tiled_jobs(base_jobs, tiles: int, window_seconds: float):
     """Replay the base submission stream ``tiles`` times end to end.
 
     Volume scaling by trace replay: each tile shifts submit times by one
@@ -922,31 +941,34 @@ def _tiled_jobs(base_jobs: list, tiles: int, window_seconds: float) -> list:
     cluster and measure backlog pathology, not the event core; scaling the
     window length would compound the workload model's monthly GPU growth
     into a qualitatively different (and eventually saturating) workload.
+    ``base_jobs`` is a :class:`~repro.cluster.SubmissionTable`; the tiles
+    are its columns repeated, with ids shifted by the base's id stride and
+    submit times by one window per tile.
     """
-    from repro.cluster.workload import SubmittedJob
+    from repro.cluster import SubmissionTable
+    from repro.cluster.records import Categorical
 
     if tiles <= 1:
-        return list(base_jobs)
-    id_stride = max(j.job_id for j in base_jobs) + 1
-    out = list(base_jobs)
-    for tile in range(1, tiles):
-        id_shift = tile * id_stride
-        t_shift = tile * window_seconds
-        out.extend(
-            SubmittedJob(
-                job_id=j.job_id + id_shift,
-                user=j.user,
-                field=j.field,
-                partition=j.partition,
-                submit=j.submit + t_shift,
-                cores=j.cores,
-                gpus=j.gpus,
-                runtime=j.runtime,
-                requested_walltime=j.requested_walltime,
-            )
-            for j in base_jobs
+        return base_jobs
+    tile = np.repeat(np.arange(tiles), len(base_jobs))
+    id_stride = int(base_jobs.job_id.max()) + 1
+
+    def repeated(block: Categorical) -> Categorical:
+        return Categorical(
+            np.tile(block.codes, tiles), block.categories, _trusted_canonical=True
         )
-    return out
+
+    return SubmissionTable(
+        job_id=np.tile(base_jobs.job_id, tiles) + tile * id_stride,
+        user=repeated(base_jobs.user),
+        field=repeated(base_jobs.field),
+        partition=repeated(base_jobs.partition),
+        submit=np.tile(base_jobs.submit, tiles) + tile * window_seconds,
+        cores=np.tile(base_jobs.cores, tiles),
+        gpus=np.tile(base_jobs.gpus, tiles),
+        runtime=np.tile(base_jobs.runtime, tiles),
+        requested_walltime=np.tile(base_jobs.requested_walltime, tiles),
+    )
 
 
 def fit_scaling_exponent(sizes, walls) -> float:
@@ -1037,7 +1059,7 @@ def run_scale_sweep(
             "total_seconds": round(sim["seconds"] + analysis["seconds"], 6),
         }
         # The watermark after the analysis pass covers the whole point
-        # (workload list + simulation + aggregation buffers).
+        # (workload columns + simulation + aggregation buffers).
         if "max_rss_kb" in analysis:
             point["max_rss_kb"] = analysis["max_rss_kb"]
         points.append(point)
@@ -1154,8 +1176,11 @@ class Gate:
     ``detail.overhead``, ``detail.fit.total_exponent``). ``kind`` says how
     the value meets ``limit``:
 
-    * ``baseline`` — the value over the same value in the latest
-      same-scale committed run is at most ``1 + limit``;
+    * ``baseline`` — ``value`` names a list of repeat timings; their
+      median may exceed the median of the same list in the latest
+      same-scale committed run by at most ``limit`` times that median or
+      3 times its interquartile range, whichever is larger (the range
+      counts only when that list holds :data:`SCHEDULER_RUNS` or more);
     * ``ratio``    — an overhead fraction measured inside one record is at
       most ``limit``;
     * ``seconds``  — an absolute time is at most ``limit`` seconds;
@@ -1219,13 +1244,16 @@ def _sweep_note(entry: dict) -> str:
 #: value measured inside one record, so machine speed cancels out.
 GATES: tuple[Gate, ...] = (
     Gate(
-        "simulate_schedule", "seconds", "baseline", 0.25,
+        "simulate_schedule", "runs", "baseline", 0.25,
         reason=(
-            "The scheduler is the reproduction's hot path. CI runners are "
-            "noisy, so the limit is loose: it catches algorithmic "
-            "regressions, not single-digit-percent drift."
+            "The scheduler is the reproduction's hot path. The median of "
+            "at least five runs may exceed the committed median by 25%, or "
+            "by three interquartile ranges of the committed runs when they "
+            "spread wider: a 2x slowdown fails, run-to-run noise does not."
         ),
-        note=lambda e: f"{e['seconds']:.3f}s",
+        note=lambda e: (
+            f"median {_median(e['runs']):.4f}s of {len(e['runs'])} run(s)"
+        ),
     ),
     Gate(
         "retry_overhead", "detail.overhead", "ratio", 0.02,
@@ -1327,6 +1355,10 @@ GATES: tuple[Gate, ...] = (
 )
 
 
+def _median(values: Sequence[float]) -> float:
+    return float(np.median(values))
+
+
 def _find(node, path: str):
     """What dotted ``path`` names under ``node`` (``""``: ``node``), or None."""
     for key in path.split(".") if path else ():
@@ -1354,20 +1386,32 @@ def evaluate_gate(
     value = _find(entry, gate.value)
     if value is None:
         return True, f"{name}: {note}; no {label}, skipping gate"
-    value = float(value)
     if gate.kind == "baseline":
         baseline = latest_run(runs, scale=record.get("scale"))
-        base = float(_find(baseline, f"benchmarks.{name}.{gate.value}") or 0.0)
+        base_runs = _find(baseline, f"benchmarks.{name}.{gate.value}") or []
+        base = _median(base_runs) if base_runs else 0.0
         if base <= 0:
             return True, (
                 f"{name}: no baseline at scale {record.get('scale')!r}; "
                 "skipping gate"
             )
-        ratio = value / base
-        return ratio <= 1.0 + gate.limit, (
-            f"{name}: {note} vs baseline {base:.3f}s "
-            f"({ratio:.0%} of baseline, limit {1 + gate.limit:.0%})"
+        # Fewer runs than a fresh row holds give no usable IQR (records
+        # written before the row took SCHEDULER_RUNS hold two or three).
+        if len(base_runs) >= SCHEDULER_RUNS:
+            q1, q3 = np.percentile(base_runs, [25, 75])
+            spread = 3.0 * float(q3 - q1) / base
+            widened = f"3 IQR = +{spread:.0%}"
+        else:
+            spread = 0.0
+            widened = f"no IQR from {len(base_runs)} runs"
+        limit = 1.0 + max(gate.limit, spread)
+        ratio = _median(value) / base
+        return ratio <= limit, (
+            f"{name}: {note} vs baseline median {base:.4f}s of {len(base_runs)} "
+            f"({ratio:.0%} of baseline, limit {limit:.0%}: the larger of "
+            f"+{gate.limit:.0%} and {widened})"
         )
+    value = float(value)
     if gate.kind == "ratio":
         verdict = f"{value:+.1%} {label}, limit {gate.limit:+.0%}"
     elif gate.kind == "seconds":

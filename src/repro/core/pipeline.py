@@ -675,6 +675,7 @@ def _call_step(
     params: dict[str, Any],
     transport: Callable[[list[Any]], Any] | None = None,
     resources: bool = False,
+    traced: bool = False,
 ) -> tuple[Any, dict[str, Any]]:
     """Run one attempt of a step function: the body every executor shares.
 
@@ -682,7 +683,10 @@ def _call_step(
     worker can unpickle the invocation. A process worker cannot reach the
     coordinator's tracer, so it measures itself (pid, compute seconds,
     and CPU/peak RSS when ``resources``) and ships the measurement back
-    through the pool's existing result channel.
+    through the pool's existing result channel. With ``traced`` the step
+    runs under a worker-local ambient tracer, and the instants it raised
+    ship back too, as ``measurement["instants"]`` (name, cat, args)
+    triples, for the coordinator to emit into the run's tracer.
 
     With ``transport`` (the process path) each input arrives as container
     bytes and is decoded here, and the value is encoded once into
@@ -694,12 +698,19 @@ def _call_step(
     if transport is not None:
         inputs = {dep: _decode_artifact(blob) for dep, blob in inputs.items()}
     probe0 = resource_probe() if resources else None
+    local = Tracer() if traced else None
     t0 = time.perf_counter()
-    value = fn(inputs, **params)
+    if local is None:
+        value = fn(inputs, **params)
+    else:
+        with _activate_trace(local):
+            value = fn(inputs, **params)
     payload: dict[str, Any] = {
         "worker_pid": os.getpid(),
         "compute": time.perf_counter() - t0,
     }
+    if local is not None:
+        payload["instants"] = [(i.name, i.cat, i.args) for i in local.instants]
     if probe0 is not None:
         probe1 = resource_probe()
         if probe1 is not None:
@@ -711,9 +722,9 @@ def _call_step(
     return value, payload
 
 
-def _killable_target(conn, fn, inputs, params) -> None:  # pragma: no cover - child process
+def _killable_target(conn, fn, inputs, params, traced) -> None:  # pragma: no cover - child process
     try:
-        blob, _ = _call_step(fn, inputs, params, b"".join)
+        blob, payload = _call_step(fn, inputs, params, b"".join, traced=traced)
     except BaseException as exc:
         try:
             conn.send(("error", exc))
@@ -721,26 +732,27 @@ def _killable_target(conn, fn, inputs, params) -> None:  # pragma: no cover - ch
             # The exception itself didn't pickle; ship its repr instead.
             conn.send(("error", PipelineError(f"step raised unpicklable {exc!r}")))
     else:
-        conn.send(("ok", blob))
+        conn.send(("ok", (blob, payload.get("instants", []))))
     finally:
         conn.close()
 
 
 def _run_killable(
-    step: "PipelineStep", inputs: dict[str, bytes], timeout: float
-) -> bytes | None:
+    step: "PipelineStep", inputs: dict[str, bytes], timeout: float, traced: bool
+) -> tuple[bytes | None, list[tuple]]:
     """Run one attempt in a dedicated process that can be hard-killed.
 
     Process-mode steps with a timeout get their own worker instead of a
     slot on the shared pool: a shared-pool worker cannot be terminated
     without poisoning every other in-flight step, while a dedicated
     process can be ``terminate()``d the instant the deadline passes.
-    Inputs and result are container bytes, as on the pool.
+    Inputs and result are container bytes, as on the pool. Returns the
+    result and the instants the step raised (none unless ``traced``).
     """
     parent_conn, child_conn = multiprocessing.Pipe(duplex=False)
     proc = multiprocessing.Process(
         target=_killable_target,
-        args=(child_conn, step.fn, inputs, dict(step.params)),
+        args=(child_conn, step.fn, inputs, dict(step.params), traced),
         daemon=True,
     )
     proc.start()
@@ -785,10 +797,15 @@ class _ProcessPool:
         self.transport = partial(shm.encode_result, prefix=self.shm_prefix)
 
     def call(
-        self, step: PipelineStep, inputs: dict[str, bytes], resources: bool
+        self,
+        step: PipelineStep,
+        inputs: dict[str, bytes],
+        resources: bool,
+        traced: bool,
     ) -> tuple[bytes | None, dict[str, Any]]:
         envelope, payload = self.executor.submit(
-            _call_step, step.fn, inputs, dict(step.params), self.transport, resources
+            _call_step, step.fn, inputs, dict(step.params), self.transport,
+            resources, traced,
         ).result()
         return (None if envelope is None else shm.decode_result(envelope)), payload
 
@@ -857,6 +874,8 @@ def _attempt_loop(
                     "(cooperative deadline, pre-compute)"
                 )
             payload: dict[str, Any] | None = None
+            # Instants a worker process raised, to emit into the run's tracer.
+            instants: list[tuple] = []
             if pool is None:
                 value, _ = _call_step(step.fn, inputs, dict(step.params))
             else:
@@ -866,11 +885,15 @@ def _attempt_loop(
                     # the process, so the result stays inline — shm
                     # ownership could not be handed off safely across a
                     # terminate().
-                    blob = _run_killable(step, inputs, deadline - time.perf_counter())
+                    blob, instants = _run_killable(
+                        step, inputs, deadline - time.perf_counter(), tracer is not None
+                    )
                 else:
                     blob, payload = pool.call(
-                        step, inputs, tracer is not None and tracer.resources
+                        step, inputs, tracer is not None and tracer.resources,
+                        tracer is not None,
                     )
+                    instants = payload.pop("instants", [])
                 # Decoded once, for the returned results; the bytes go on
                 # to the cache and to every dependent as they are.
                 value = None if blob is None else _Encoded(_decode_artifact(blob), blob)
@@ -888,6 +911,8 @@ def _attempt_loop(
                     "(cooperative deadline)"
                 )
             if attempt_sid is not None:
+                for name, cat, args in instants:
+                    tracer.instant(name, cat, **args)
                 tracer.end(attempt_sid, ok=True, **(payload or {}))
             return value
         except Exception as exc:

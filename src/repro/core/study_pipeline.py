@@ -80,7 +80,7 @@ def study_pipeline(
     changing ``months`` reruns workload + scheduling (its dependent).
     ``study`` depends on ``survey`` and ``schedule`` and takes the
     telemetry window as its ``window_seconds`` param, computed here from
-    the workload params, so it never decodes the workload's job list.
+    the workload params, so it never decodes the workload's jobs.
     ``drift`` names a declared :data:`~repro.synth.scenario.DRIFT_SCENARIOS`
     entry applied to the cohort profiles; it is a survey-step *param*, so a
     drifted run gets a new survey cache key (and, by key folding, new keys

@@ -1,10 +1,11 @@
 """``SubmittedJob`` pickles as a constructor call.
 
-The workload artifact is a list of thousands of jobs, and on the process
-executor it is decoded by every step that reads it. ``__reduce__`` makes
-each job a constructor call instead of the dataclass state protocol, so
-a load re-runs ``__post_init__``; payloads written in the old state
-format (as held by existing caches, under unchanged keys) still load.
+Workload artifacts written before the columnar ``SubmissionTable`` are
+lists of thousands of jobs, still held by existing caches under the
+workload step's unchanged key. ``__reduce__`` makes each job a
+constructor call instead of the dataclass state protocol, so a load
+re-runs ``__post_init__``; payloads written in the older state format
+still load.
 """
 
 import pickle

@@ -65,55 +65,56 @@ def uses(*partitions: str):
     return lambda jobs: {j.partition for j in jobs} == set(partitions)
 
 
-@pytest.mark.parametrize(
-    "params, cluster, check",
-    [
-        pytest.param(
-            WorkloadParams(months=2, jobs_per_day=80, diurnal=True),
-            DEFAULT_CLUSTER,
-            uses("cpu", "gpu", "serial", "bigmem"),
-            id="diurnal",
-        ),
-        pytest.param(
-            WorkloadParams(months=2, jobs_per_day=80, diurnal=False),
-            DEFAULT_CLUSTER,
-            uses("cpu", "gpu", "serial", "bigmem"),
-            id="uniform",
-        ),
-        pytest.param(
-            WorkloadParams(months=2, jobs_per_day=80),
-            NO_BIGMEM,
-            uses("cpu", "gpu", "serial"),
-            id="no_bigmem",
-        ),
-        pytest.param(
-            WorkloadParams(months=2, jobs_per_day=60, gpu_base_scale=3.0),
-            TWO_GPUS,
-            lambda jobs: {j.gpus for j in jobs} == {0, 1, 2}
-            and max(j.cores for j in jobs if j.gpus) == 12
-            and {j.runtime for j in jobs if j.partition == "serial"} == {50.0 * 0.98},
-            id="two_gpus",
-        ),
-        pytest.param(
-            WorkloadParams(months=1, jobs_per_day=80, walltime_overrequest=1.0),
-            DEFAULT_CLUSTER,
-            lambda jobs: all(j.requested_walltime == j.runtime for j in jobs),
-            id="overrequest_1",
-        ),
-        pytest.param(
-            WorkloadParams(months=1, jobs_per_day=50, field_mixes=with_gpu_share(0.0)),
-            DEFAULT_CLUSTER,
-            lambda jobs: not any(j.gpus for j in jobs),
-            id="gpu_share_0",
-        ),
-        pytest.param(
-            WorkloadParams(months=1, jobs_per_day=50, field_mixes=with_gpu_share(1.0)),
-            DEFAULT_CLUSTER,
-            uses("cpu", "gpu", "serial", "bigmem"),
-            id="gpu_share_1",
-        ),
-    ],
-)
+#: Edge-case workloads, each with a check that it reaches its branch.
+EDGE_CASES = [
+    pytest.param(
+        WorkloadParams(months=2, jobs_per_day=80, diurnal=True),
+        DEFAULT_CLUSTER,
+        uses("cpu", "gpu", "serial", "bigmem"),
+        id="diurnal",
+    ),
+    pytest.param(
+        WorkloadParams(months=2, jobs_per_day=80, diurnal=False),
+        DEFAULT_CLUSTER,
+        uses("cpu", "gpu", "serial", "bigmem"),
+        id="uniform",
+    ),
+    pytest.param(
+        WorkloadParams(months=2, jobs_per_day=80),
+        NO_BIGMEM,
+        uses("cpu", "gpu", "serial"),
+        id="no_bigmem",
+    ),
+    pytest.param(
+        WorkloadParams(months=2, jobs_per_day=60, gpu_base_scale=3.0),
+        TWO_GPUS,
+        lambda jobs: {j.gpus for j in jobs} == {0, 1, 2}
+        and max(j.cores for j in jobs if j.gpus) == 12
+        and {j.runtime for j in jobs if j.partition == "serial"} == {50.0 * 0.98},
+        id="two_gpus",
+    ),
+    pytest.param(
+        WorkloadParams(months=1, jobs_per_day=80, walltime_overrequest=1.0),
+        DEFAULT_CLUSTER,
+        lambda jobs: all(j.requested_walltime == j.runtime for j in jobs),
+        id="overrequest_1",
+    ),
+    pytest.param(
+        WorkloadParams(months=1, jobs_per_day=50, field_mixes=with_gpu_share(0.0)),
+        DEFAULT_CLUSTER,
+        lambda jobs: not any(j.gpus for j in jobs),
+        id="gpu_share_0",
+    ),
+    pytest.param(
+        WorkloadParams(months=1, jobs_per_day=50, field_mixes=with_gpu_share(1.0)),
+        DEFAULT_CLUSTER,
+        uses("cpu", "gpu", "serial", "bigmem"),
+        id="gpu_share_1",
+    ),
+]
+
+
+@pytest.mark.parametrize("params, cluster, check", EDGE_CASES)
 def test_edge_case_streams_are_valid(params, cluster, check):
     jobs = WorkloadModel(params, cluster).generate(np.random.default_rng(17))
     assert len(jobs) > 500

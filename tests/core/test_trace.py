@@ -152,6 +152,38 @@ class TestSpanContent:
         assert instants.count("cache.put") == 3
 
 
+def _skipping_reader(inputs, part):
+    instant("ingest.skipped_rows", "ingest", reader="reader_x", count=1)
+    return part
+
+
+class TestWorkerInstants:
+    """Instants a step raises reach the run's tracer from every executor:
+    a process worker (pooled, or dedicated to a step with a timeout) ships
+    them back with its result."""
+
+    @pytest.mark.parametrize("timeout", [None, 60.0], ids=["no_timeout", "timeout"])
+    @pytest.mark.parametrize("executor", ["sequential", "thread", "process"])
+    def test_step_instants_are_counted(self, executor, timeout):
+        steps = [
+            PipelineStep(
+                name=f"read{i}", fn=_skipping_reader, params={"part": i}, timeout=timeout
+            )
+            for i in range(3)
+        ]
+        pipeline = Pipeline(steps, ArtifactCache())
+        pipeline.run(executor=executor, max_workers=2, trace=True)
+        tracer = pipeline.last_trace
+        skipped = [i for i in tracer.instants if i.name == "ingest.skipped_rows"]
+        assert len(skipped) == 3
+        assert all(i.args == {"reader": "reader_x", "count": 1} for i in skipped)
+        registry = registry_from_metrics(pipeline.last_metrics, tracer)
+        assert registry.counts("repro_skipped_rows_total", "reader") == {"reader_x": 3}
+        attempts = _spans(tracer, "attempt")
+        assert len(attempts) == 3
+        assert not any("instants" in span["args"] for span in attempts)
+
+
 class TestDisabledPath:
     def test_untraced_run_records_no_tracer(self):
         pipeline = Pipeline(_steps(), ArtifactCache())
