@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _sps
 
 from repro.analysis.parallelism import gpu_adoption_by_field
 from repro.core.study import Study
+from repro.stats.tests import spearman_test
 
 __all__ = ["ConcordanceResult", "gpu_concordance"]
 
@@ -70,11 +70,11 @@ def gpu_concordance(study: Study, min_n: int = 5) -> ConcordanceResult:
         )
     survey_vec = np.array([survey[f] for f in common])
     telemetry_vec = np.array([telemetry[f] for f in common])
-    rho, p = _sps.spearmanr(survey_vec, telemetry_vec)
+    test = spearman_test(survey_vec, telemetry_vec)
     return ConcordanceResult(
         fields=common,
         survey_share=survey_vec,
         telemetry_share=telemetry_vec,
-        spearman_rho=float(rho),
-        p_value=float(p),
+        spearman_rho=test.statistic,
+        p_value=test.p_value,
     )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.stats.intervals import BinomialInterval, wilson_interval
-from repro.stats.tests import TestResult
+from repro.stats.tests import TestResult, kruskal_wallis_test
 from repro.survey.responses import ResponseSet
 
 __all__ = ["ItemNonresponse", "QualityReport", "quality_report"]
@@ -124,15 +124,7 @@ def quality_report(responses: ResponseSet) -> QualityReport:
     groups = [np.array(v) for v in per_field.values() if len(v) >= 2]
     pooled = np.concatenate(groups) if groups else np.array([])
     if len(groups) >= 2 and np.unique(pooled).size > 1:
-        from scipy import stats as _sps
-
-        stat, p = _sps.kruskal(*groups)
-        test = TestResult(
-            name="kruskal",
-            statistic=float(stat),
-            p_value=float(p),
-            dof=len(groups) - 1,
-        )
+        test = kruskal_wallis_test(*groups)
     else:
         test = TestResult(name="kruskal", statistic=0.0, p_value=1.0, dof=0)
 

@@ -1139,15 +1139,10 @@ def _cmd_serve(args, out) -> int:
     import signal
     import time
 
-    from repro.serve import (
-        ServeConfig,
-        ServiceDraining,
-        ServiceReadOnly,
-        StudyService,
-        read_status,
-    )
-
     if args.status:
+        # The probe reads status.json only; it imports no study code.
+        from repro.obs.top import read_status
+
         status = read_status(args.root)
         if status is None:
             print(f"error: no service status under {args.root}", file=out)
@@ -1178,6 +1173,8 @@ def _cmd_serve(args, out) -> int:
                     )
                     code = EXIT_PARTIAL
         return code
+
+    from repro.serve import ServeConfig, ServiceDraining, ServiceReadOnly, StudyService
 
     experiments = None
     if args.experiments:
@@ -1327,7 +1324,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
     """
     out = out if out is not None else sys.stdout
     args = build_parser().parse_args(argv)
-    from repro.core.logging import setup_cli_logging
+    from repro.obs.logging import setup_cli_logging
 
     setup_cli_logging(args.verbose - args.quiet)
     try:

@@ -21,8 +21,11 @@
 * :mod:`repro.core.journal` — durable run journal (:class:`RunJournal`)
   and resume-after-crash state (:class:`ResumeState`);
 * :mod:`repro.core.trace` — span/event tracing (:class:`Tracer`),
-  Chrome/Perfetto + Prometheus export, and DAG critical-path analysis;
-* :mod:`repro.core.logging` — run-id-tagged structured CLI logging.
+  Chrome/Perfetto + Prometheus export, and DAG critical-path analysis.
+
+Importing this package imports the whole study stack (numpy, SciPy's
+special functions, networkx); code that must start fast, such as the
+CLI's logging set-up and its status probes, lives in :mod:`repro.obs`.
 """
 
 from repro.core.instrument import build_instrument

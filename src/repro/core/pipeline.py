@@ -78,7 +78,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
 
 from repro.core import shm
-from repro.core.logging import get_logger, kv, set_run_id
+from repro.obs.logging import get_logger, kv, set_run_id
 from repro.core.metrics import ExecutorMetrics, RunReport, StepMetric
 from repro.core.trace import Tracer, activate as _activate_trace, instant as _trace_instant
 from repro.core.trace import resource_probe

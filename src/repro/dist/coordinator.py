@@ -47,7 +47,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping
 
-from repro.core.logging import get_logger, kv
+from repro.obs.logging import get_logger, kv
 from repro.dist import leases as lease_io
 from repro.dist.heartbeats import FleetMonitor
 from repro.dist.worker import DistConfig, RunSpec, _forked_worker, write_spec

@@ -11,7 +11,14 @@ Spans three layers of the repo:
   fleet runs (worker segment files, coordinator merge);
 * :mod:`repro.obs.slo` / :mod:`repro.obs.ring` — serve-tier SLO policy
   evaluation and the size-rotated on-disk metrics ring;
-* :mod:`repro.obs.top` — the ``repro top`` dashboard renderer.
+* :mod:`repro.obs.top` — the ``repro top`` dashboard renderer and
+  :func:`read_status`, the serve root's out-of-process status probe;
+* :mod:`repro.obs.logging` — run-id-tagged structured CLI logging.
+
+The package imports only the standard library (no numpy, no study
+code), so every ``repro`` command can set up logging, and
+``repro serve --status`` and ``repro top`` can answer, without paying
+for the study stack's start-up.
 """
 
 from repro.obs.promfmt import PromWriter, validate_prometheus

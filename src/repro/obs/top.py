@@ -13,6 +13,7 @@ around it (``repro top``) just reprints it every interval, and
 
 from __future__ import annotations
 
+import json
 import time
 from pathlib import Path
 from typing import Any
@@ -21,13 +22,29 @@ from repro.obs.registry import MetricsRegistry
 from repro.obs.ring import read_ring_snapshot
 from repro.obs.slo import load_slo
 
-__all__ = ["render_top", "latest_run_dir"]
+__all__ = ["render_top", "latest_run_dir", "read_status"]
 
 
 def _ms(value: float | None) -> str:
     if value is None:
         return "-"
     return f"{value * 1e3:.1f}ms" if value < 1.0 else f"{value:.2f}s"
+
+
+def read_status(root: str | Path) -> dict[str, Any] | None:
+    """Read a service root's probe snapshot (None when absent/torn).
+
+    This is the out-of-process probe used by ``repro serve --status`` and
+    ``repro top``: it never touches the WAL or cache, so probing cannot
+    interfere with a live (or crashed) service.
+    """
+    try:
+        raw = json.loads(
+            (Path(root) / "status.json").read_text(encoding="utf-8")
+        )
+    except (OSError, json.JSONDecodeError):
+        return None
+    return raw if isinstance(raw, dict) else None
 
 
 def latest_run_dir(cache_root: str | Path) -> Path | None:
@@ -63,8 +80,6 @@ def render_top(
 
 
 def _serve_section(root: Path) -> list[str]:
-    from repro.serve.service import read_status
-
     lines = [f"== serve: {root} =="]
     status = read_status(root)
     if status is None:

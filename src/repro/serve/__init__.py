@@ -14,10 +14,15 @@ Four layers, each usable on its own:
   above into ingest/refresh/request/status/drain with read-only
   degradation and SIGKILL-anywhere crash recovery.
 
+:func:`read_status`, the out-of-process status probe, lives in
+:mod:`repro.obs.top` (so ``repro serve --status`` imports no study code)
+and is re-exported here.
+
 See ``docs/API.md`` ("Serving & incremental ingestion") for the WAL
 format, the staleness contract, and the failure ladder.
 """
 
+from repro.obs.top import read_status
 from repro.serve.admission import AdmissionController, QueueFull, ServeResult
 from repro.serve.breaker import BreakerState, CircuitBreaker
 from repro.serve.pipeline import INGEST_STEPS, serve_pipeline
@@ -27,7 +32,6 @@ from repro.serve.service import (
     ServiceDraining,
     ServiceReadOnly,
     StudyService,
-    read_status,
 )
 from repro.serve.wal import (
     IngestReceipt,

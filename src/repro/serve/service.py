@@ -81,7 +81,6 @@ __all__ = [
     "ServiceDraining",
     "RefreshResult",
     "StudyService",
-    "read_status",
 ]
 
 STATE_VERSION = 1
@@ -719,19 +718,3 @@ class StudyService:
         """Release file handles without draining semantics (tests)."""
         with self._lock:
             self.wal.close()
-
-
-def read_status(root: str | Path) -> dict[str, Any] | None:
-    """Read a service root's probe snapshot (None when absent/torn).
-
-    This is the out-of-process probe used by ``repro serve --status``: it
-    never touches the WAL or cache, so probing cannot interfere with a
-    live (or crashed) service.
-    """
-    try:
-        raw = json.loads(
-            (Path(root) / "status.json").read_text(encoding="utf-8")
-        )
-    except (OSError, json.JSONDecodeError):
-        return None
-    return raw if isinstance(raw, dict) else None

@@ -6,7 +6,8 @@ survey proportions and telemetry aggregates:
 * binomial interval estimators (Wilson, Agresti-Coull, Clopper-Pearson, Wald);
 * contingency-table tests (chi-square, G-test, Fisher exact for 2x2);
 * proportion comparisons (two-sample z, risk difference / ratio, odds ratio);
-* rank tests (Mann-Whitney U) for ordinal Likert data;
+* rank tests (Mann-Whitney U, Kruskal-Wallis H, Spearman's rho) and
+  average ranks for ordinal Likert data;
 * effect sizes (Cramér's V, Cohen's h/w, rank-biserial);
 * nonparametric bootstrap with seeded, vectorized resampling;
 * multiple-comparison corrections (Holm, Bonferroni, Benjamini-Hochberg);
@@ -14,7 +15,9 @@ survey proportions and telemetry aggregates:
 
 All functions are pure, operate on plain floats / numpy arrays, and accept an
 optional ``numpy.random.Generator`` wherever randomness is involved so results
-are reproducible end to end.
+are reproducible end to end. Distribution functions come from
+``scipy.special``, the kernels ``scipy.stats`` wraps, so results equal
+SciPy's bit for bit while importing the package skips ``scipy.stats``.
 """
 
 from repro.stats.intervals import (
@@ -29,8 +32,11 @@ from repro.stats.tests import (
     chi_square_test,
     fisher_exact_2x2,
     g_test,
+    kruskal_wallis_test,
     mann_whitney_u,
     mcnemar_test,
+    rankdata,
+    spearman_test,
     two_proportion_z_test,
 )
 from repro.stats.effects import (
@@ -93,6 +99,9 @@ __all__ = [
     "two_proportion_z_test",
     "mann_whitney_u",
     "mcnemar_test",
+    "rankdata",
+    "spearman_test",
+    "kruskal_wallis_test",
     "cramers_v",
     "cohens_h",
     "cohens_w",

@@ -4,15 +4,19 @@ The study reports nearly every number as "proportion of respondents who ...",
 so interval quality matters. Wilson is the default everywhere in the library:
 it has near-nominal coverage at the small per-field sample sizes (n of 10-40)
 the survey produces, where the Wald interval badly undercovers.
+
+Quantiles come from the ``scipy.special`` kernels that ``scipy.stats``
+calls (``ndtri`` for ``norm.ppf``, ``betaincinv`` for ``beta.ppf``), so
+every endpoint equals SciPy's bit for bit without importing
+``scipy.stats``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
-from scipy import stats as _sps
+from scipy import special as _special
 
 __all__ = [
     "BinomialInterval",
@@ -74,11 +78,8 @@ def _validate(successes: int, trials: int, confidence: float) -> None:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
 
 
-@functools.lru_cache(maxsize=16)
 def _z_value(confidence: float) -> float:
-    # SciPy's ppf costs ~75 us a call and every interval asks for it;
-    # studies use a handful of confidence levels.
-    return float(_sps.norm.ppf(0.5 + confidence / 2.0))
+    return float(_special.ndtri(0.5 + confidence / 2.0))
 
 
 def wilson_interval(
@@ -143,11 +144,15 @@ def clopper_pearson_interval(
     if successes == 0:
         low = 0.0
     else:
-        low = float(_sps.beta.ppf(alpha / 2.0, successes, trials - successes + 1))
+        low = float(
+            _special.betaincinv(successes, trials - successes + 1, alpha / 2.0)
+        )
     if successes == trials:
         high = 1.0
     else:
-        high = float(_sps.beta.ppf(1.0 - alpha / 2.0, successes + 1, trials - successes))
+        high = float(
+            _special.betaincinv(successes + 1, trials - successes, 1.0 - alpha / 2.0)
+        )
     return BinomialInterval(
         estimate=successes / trials,
         low=low,

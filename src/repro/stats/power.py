@@ -3,14 +3,15 @@
 The study design question: "how many 2024 respondents do we need to detect
 the changes we expect against the 2011 baseline?" Standard normal-
 approximation power for the pooled two-proportion z-test, plus the inverse
-(required n per group).
+(required n per group). Normal quantiles and probabilities come from
+``scipy.special.ndtri``/``ndtr``, the kernels behind ``scipy.stats.norm``.
 """
 
 from __future__ import annotations
 
 import math
 
-from scipy import stats as _sps
+from scipy import special as _special
 
 __all__ = ["two_proportion_power", "required_n_per_group", "minimum_detectable_delta"]
 
@@ -36,14 +37,14 @@ def two_proportion_power(
         raise ValueError("alpha must be in (0, 1)")
     if p1 == p2:
         return alpha  # power equals the size of the test under H0
-    z_alpha = _sps.norm.ppf(1.0 - alpha / 2.0)
+    z_alpha = _special.ndtri(1.0 - alpha / 2.0)
     pooled = (p1 * n1 + p2 * n2) / (n1 + n2)
     sd0 = math.sqrt(pooled * (1.0 - pooled) * (1.0 / n1 + 1.0 / n2))
     sd1 = math.sqrt(p1 * (1.0 - p1) / n1 + p2 * (1.0 - p2) / n2)
     delta = abs(p1 - p2)
     # Two-sided: the wrong-direction rejection region contributes ~0.
     z = (delta - z_alpha * sd0) / sd1
-    return float(_sps.norm.cdf(z))
+    return float(_special.ndtr(z))
 
 
 def required_n_per_group(

@@ -5,7 +5,7 @@ import logging
 
 import pytest
 
-from repro.core.logging import (
+from repro.obs.logging import (
     LOGGER_NAME,
     get_logger,
     kv,

@@ -143,15 +143,3 @@ class TestZValue:
 
         expected = float(norm.ppf(0.5 + confidence / 2))
         assert _z_value(confidence) == expected
-        assert _z_value(confidence) == expected  # the cached answer too
-
-    def test_cached_per_confidence_level(self):
-        from repro.stats.intervals import _z_value
-
-        _z_value.cache_clear()
-        for _ in range(5):
-            wilson_interval(3, 10, 0.95)
-            wald_interval(3, 10, 0.9)
-        info = _z_value.cache_info()
-        assert (info.misses, info.hits) == (2, 8)
-        assert info.maxsize is not None  # bounded
